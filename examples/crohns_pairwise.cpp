@@ -12,7 +12,6 @@
 
 #include "trigen/core/detector.hpp"
 #include "trigen/dataset/synthetic.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 
 int main() {
   using namespace trigen;
@@ -35,8 +34,8 @@ int main() {
               data.num_snps(), data.num_samples());
 
   // Pairwise scan.
-  pairwise::PairDetector pairs(data);
-  pairwise::PairDetectorOptions popt;
+  core::BasicDetector<2> pairs(data);
+  core::BasicDetectorOptions<2> popt;
   popt.top_k = 5;
   const auto pr = pairs.run(popt);
   std::printf("2-way scan: %llu pairs in %.3f s\n",

@@ -5,7 +5,9 @@
 # worker killed partway and resumed from its checkpoint) -> `merge` ->
 # diff against the unsharded scan.  The CSV sections (everything but the
 # '#' comment lines, which carry timings) must be byte-identical.  Also
-# checks that `merge` refuses to mix interaction orders.
+# checks that `merge` refuses to mix interaction orders, that `--isa`
+# pins the kernel bit-identically and validates at parse time, and that
+# an unknown option (misspelled or retired) is rejected.
 #
 # usage: scripts/order_smoke.sh path/to/trigen
 set -euo pipefail
@@ -98,6 +100,40 @@ for a in 2 3 4; do
       || { echo "order $a+$b: mixed-order merge failed without naming the order" >&2
            exit 1; }
   done
+done
+
+# --isa pins (bit-identical results) and validates at parse time, as
+# does $TRIGEN_ISA; a bad name lists the ISAs compiled into the binary.
+"$TRIGEN" scan d.tg --top 12 --threads 2 --isa scalar > isa_scalar.txt
+grep -q 'kernel scalar' isa_scalar.txt \
+  || { echo "isa: --isa scalar did not pin the scalar kernel" >&2; exit 1; }
+diff <(grep -v '^#' full3.txt) <(grep -v '^#' isa_scalar.txt) \
+  || { echo "isa: --isa scalar scan differs from auto" >&2; exit 1; }
+rc=0
+"$TRIGEN" scan d.tg --isa no-such-isa > /dev/null 2> err.txt || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "isa: bad --isa must exit 2 (got $rc)" >&2; exit 1; }
+grep -q 'vector ISAs in this binary' err.txt \
+  || { echo "isa: bad --isa error lacks the compiled-ISA list" >&2; exit 1; }
+rc=0
+TRIGEN_ISA=no-such-isa "$TRIGEN" scan d.tg > /dev/null 2> err.txt || rc=$?
+[ "$rc" -eq 2 ] \
+  || { echo "isa: bad TRIGEN_ISA must exit 2 (got $rc)" >&2; exit 1; }
+grep -q 'vector ISAs in this binary' err.txt \
+  || { echo "isa: bad TRIGEN_ISA error lacks the compiled-ISA list" >&2
+       exit 1; }
+
+# Unknown options exit 2 naming the option and the subcommand, before
+# any work: a misspelling, and the retired tuning flags.
+for bad in "--objectve mi" "--no-tune" "--profile x"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is intentionally word-split
+  "$TRIGEN" scan d.tg $bad > /dev/null 2> err.txt || rc=$?
+  [ "$rc" -eq 2 ] \
+    || { echo "options: scan $bad must exit 2 (got $rc)" >&2; exit 1; }
+  opt=${bad%% *}
+  grep -q "trigen scan: unknown option $opt" err.txt \
+    || { echo "options: scan $bad error does not name $opt" >&2; exit 1; }
 done
 
 echo "order smoke: orders 2, 3 and 4 shard, resume and merge exactly"

@@ -47,29 +47,6 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== fig3 CPU bench ($( [ -n "$QUICK" ] && echo quick || echo full ) mode)"
 "$FIG3" $QUICK --json "$tmpdir/fig3.json"
 
-# Autotuner fold: run the measurement grid through the CLI and keep the
-# tuner-chosen vs analytic-chosen throughput per kernel family in the
-# trajectory ("tune/<family>/order<K>/w<bucket>" entries; their
-# elements_per_s and speedup fall under the same regression gate as every
-# other rate).  speedup >= 1.0 certifies the measured pick is no slower
-# than the analytic model's.
-TRIGEN_BIN="$BUILD_DIR/tools/trigen"
-have_tune=0
-if [ -x "$TRIGEN_BIN" ]; then
-  echo "== autotuner grid (trigen tune)"
-  tune_args="--samples 1024 --orders 2,3,4"
-  [ -n "$QUICK" ] && tune_args="--quick --samples 512 --orders 2,3"
-  # shellcheck disable=SC2086  # $tune_args is intentionally word-split
-  if "$TRIGEN_BIN" tune $tune_args --out "$tmpdir/tune.profile" --json \
-      > "$tmpdir/tune.json" 2> /dev/null; then
-    have_tune=1
-  else
-    echo "warning: trigen tune failed; continuing without the tune fold" >&2
-  fi
-else
-  echo "note: $TRIGEN_BIN not built; skipping the tune fold" >&2
-fi
-
 have_abl=0
 if [ -x "$ABL" ]; then
   echo "== kernel ablation bench (google-benchmark)"
@@ -100,10 +77,10 @@ fi
 strict=1
 [ -n "$QUICK" ] && strict=0
 python3 - "$tmpdir/fig3.json" "$tmpdir/abl.json" "$have_abl" "$OUT" \
-    "$baseline" "$strict" "$tmpdir/tune.json" "$have_tune" <<'PYEOF'
+    "$baseline" "$strict" <<'PYEOF'
 import json, sys
-(fig3_path, abl_path, have_abl, out_path, baseline_path, strict,
- tune_path, have_tune) = sys.argv[1:9]
+(fig3_path, abl_path, have_abl, out_path, baseline_path,
+ strict) = sys.argv[1:7]
 merged = json.load(open(fig3_path))
 if have_abl == "1":
     for b in json.load(open(abl_path)).get("benchmarks", []):
@@ -113,10 +90,6 @@ if have_abl == "1":
             if counter in b:
                 entry[counter.replace("/s", "_per_s")] = round(float(b[counter]), 1)
         merged[name] = entry
-if have_tune == "1":
-    # Already keyed "tune/<family>/order<K>/w<bucket>" with elements_per_s
-    # and speedup (tuner-best over analytic-model pick) — merge verbatim.
-    merged.update(json.load(open(tune_path)))
 
 # Regression gate: any throughput-like counter (higher is better) that
 # dropped more than 15% against the baseline is a regression.  Speedup

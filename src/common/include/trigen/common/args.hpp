@@ -89,6 +89,16 @@ struct Args {
     return parsed;
   }
   bool has(const std::string& key) const { return flags.count(key) != 0; }
+  /// The parsed flag names outside `known`, in sorted order — lets a tool
+  /// reject misspelled options instead of silently ignoring them.
+  std::vector<std::string> unknown_flags(
+      const std::set<std::string>& known) const {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : flags) {
+      if (known.count(key) == 0) out.push_back(key);
+    }
+    return out;
+  }
 };
 
 }  // namespace trigen

@@ -14,9 +14,7 @@
 ///     single-node hosts that dominate CI.
 ///
 /// The sysfs root is injectable so the parser is unit-testable against a
-/// fake `sys/devices/system/node` tree; the node count also feeds the
-/// autotuner's host fingerprint (a profile measured on a 1-node VM must
-/// not configure the 2-socket production box).
+/// fake `sys/devices/system/node` tree.
 
 #include <string>
 #include <vector>

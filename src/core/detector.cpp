@@ -29,18 +29,6 @@ std::string cpu_version_name(CpuVersion v) {
   return "unknown";
 }
 
-KernelFamily scan_kernel_family(unsigned order, CpuVersion version,
-                                bool batched) {
-  if (batched) return KernelFamily::kFinalizeBatched;
-  if (order == 2) return KernelFamily::kPairCount;
-  const bool cached = version == CpuVersion::kV5PairCache;
-  if (order == 3) {
-    return cached ? KernelFamily::kTripleBlockCached
-                  : KernelFamily::kTripleBlock;
-  }
-  return cached ? KernelFamily::kPrefixLadder : KernelFamily::kTupleBlock;
-}
-
 std::string objective_name(Objective o) {
   switch (o) {
     case Objective::kK2: return "k2";
@@ -237,27 +225,13 @@ BasicDetectionResult<K> BasicDetector<K>::run(
   const bool cached = options.version == CpuVersion::kV5PairCache;
   const bool vector_version =
       options.version == CpuVersion::kV4Vector || cached;
-  // Empirical tuning: when both the ISA and the tiling are still "auto",
-  // a profile resolver may supply the measured-best pair for this kernel
-  // family and dataset size.  A miss falls through to the analytic
-  // defaults below; a choice this host cannot execute is ignored.
-  std::optional<KernelConfigChoice> tuned;
-  if (vector_version && options.config && options.isa_auto &&
-      !options.tiling.valid()) {
-    tuned = options.config(KernelConfigRequest{
-        scan_kernel_family(K, options.version, false), K, impl_->num_samples,
-        0});
-    if (tuned && !kernel_available(tuned->isa)) tuned.reset();
-  }
   // V1 and V3 are scalar by definition; V4/V5 default to the widest
   // available strategy.  V2 honors an explicitly requested ISA (the
   // heterogeneous coordinator pairs the per-combination path with a vector
   // kernel).
   result.isa_used = KernelIsa::kScalar;
   if (vector_version) {
-    result.isa_used = !options.isa_auto ? options.isa
-                      : tuned           ? tuned->isa
-                                        : best_kernel_isa();
+    result.isa_used = options.isa_auto ? best_kernel_isa() : options.isa;
   } else if (options.version == CpuVersion::kV2Split && !options.isa_auto) {
     result.isa_used = options.isa;
   }
@@ -326,7 +300,6 @@ BasicDetectionResult<K> BasicDetector<K>::run(
     // overhead).  V5 budgets L1 for the prefix-plane ladder when
     // autotuning.
     TilingParams tiling = options.tiling;
-    if (!tiling.valid() && tuned) tiling = tuned->tiling;
     if (!tiling.valid()) {
       tiling = autotune_tiling(detect_l1_config(),
                                kernel_vector_words(result.isa_used), K,
@@ -445,17 +418,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   BasicBatchDetectionResult<K> result;
   result.threads_used = resolve_threads(options.threads);
   const std::size_t slots = batch.size();
-  // Empirical tuning, as in run(): consulted only when ISA and tiling are
-  // both still auto, keyed by the batched-finalize family and slot count.
-  std::optional<KernelConfigChoice> tuned;
-  if (options.config && options.isa_auto && !options.tiling.valid()) {
-    tuned = options.config(KernelConfigRequest{
-        KernelFamily::kFinalizeBatched, K, impl_->num_samples, slots});
-    if (tuned && !kernel_available(tuned->isa)) tuned.reset();
-  }
-  result.isa_used = !options.isa_auto ? options.isa
-                    : tuned           ? tuned->isa
-                                      : best_kernel_isa();
+  result.isa_used = options.isa_auto ? best_kernel_isa() : options.isa;
   if (!kernel_available(result.isa_used)) {
     throw std::runtime_error("requested kernel ISA not available: " +
                              kernel_isa_name(result.isa_used));
@@ -489,7 +452,6 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   // ladder), with the batch-aware L1 budget: the per-tuple tables grow to
   // 1 + P slots and the resident label rows join the streamed block.
   TilingParams tiling = options.tiling;
-  if (!tiling.valid() && tuned) tiling = tuned->tiling;
   if (!tiling.valid()) {
     tiling = autotune_tiling(detect_l1_config(),
                              kernel_vector_words(result.isa_used), K, true,

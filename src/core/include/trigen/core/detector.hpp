@@ -13,8 +13,8 @@
 /// \endcode
 ///
 /// `BasicDetector<K>` runs the same stack at any interaction order
-/// K in [2, combinatorics::kMaxOrder]: `Detector` (K = 3) and the pairwise
-/// module's `PairDetector` (K = 2) are aliases of it.  The five
+/// K in [2, combinatorics::kMaxOrder]: `Detector` is its K = 3 alias, and
+/// the pairwise scan is plain `BasicDetector<2>`.  The five
 /// `CpuVersion`s implement the paper's optimization ladder plus the
 /// prefix-plane-cached V5 extension; all produce identical results, they
 /// only differ in speed (and are cross-checked against each other in the
@@ -27,7 +27,6 @@
 
 #include "trigen/combinatorics/scheduler.hpp"
 #include "trigen/core/blocked_engine.hpp"
-#include "trigen/core/kernel_config.hpp"
 #include "trigen/core/kernels.hpp"
 #include "trigen/core/scan_driver.hpp"
 #include "trigen/core/tiling.hpp"
@@ -53,12 +52,6 @@ enum class CpuVersion {
 };
 
 std::string cpu_version_name(CpuVersion v);
-
-/// The kernel family that dominates an order-`order` scan at `version`
-/// (`batched` overrides both: run_batched always ends in the batched
-/// finalize).  This is the family a detector asks its ConfigResolver about.
-KernelFamily scan_kernel_family(unsigned order, CpuVersion version,
-                                bool batched);
 
 /// Objective function for ranking combinations.
 enum class Objective {
@@ -111,15 +104,6 @@ struct ScanOptionsBase {
   /// Optional progress callback, reported in combinations scanned out of
   /// `range.size()` (serialized, monotone; runs on worker threads).
   ProgressFn progress{};
-  /// Optional empirical-tuning lookup (see kernel_config.hpp; trigen::tune
-  /// provides one from a per-host TRIGEN-TUNE profile).  Consulted by the
-  /// vector versions (V4/V5) and run_batched only when `isa_auto` is set
-  /// AND `tiling` is invalid — an explicit pin of either field keeps the
-  /// whole configuration explicit/analytic.  A miss, an unset resolver, or
-  /// a choice whose ISA this host cannot execute falls back to
-  /// best_kernel_isa() and the analytic autotune_tiling model.  Results
-  /// are bit-identical either way; only speed differs.
-  ConfigResolver config{};
 };
 
 /// Detection parameters for the order-K scan.

@@ -14,7 +14,6 @@
 
 #include "kernels_detail.hpp"
 #include "trigen/common/cpuid.hpp"
-#include "trigen/core/kernel_config.hpp"
 #include "trigen/core/kernels.hpp"
 
 namespace trigen::core {
@@ -87,32 +86,6 @@ std::string kernel_isa_name(KernelIsa isa) {
 std::optional<KernelIsa> parse_kernel_isa(const std::string& name) {
   for (const KernelIsa isa : all_kernel_isas()) {
     if (kernel_isa_name(isa) == name) return isa;
-  }
-  return std::nullopt;
-}
-
-std::string kernel_family_name(KernelFamily f) {
-  switch (f) {
-    case KernelFamily::kPairCount: return "pair_count";
-    case KernelFamily::kTripleBlock: return "triple_block";
-    case KernelFamily::kTripleBlockCached: return "triple_block_cached";
-    case KernelFamily::kPairPlaneBuild: return "pair_plane_build";
-    case KernelFamily::kTupleBlock: return "tuple_block";
-    case KernelFamily::kPrefixLadder: return "prefix_ladder";
-    case KernelFamily::kFinalizeBatched: return "finalize_batched";
-  }
-  return "unknown";
-}
-
-std::optional<KernelFamily> parse_kernel_family(const std::string& name) {
-  static const KernelFamily all[] = {
-      KernelFamily::kPairCount,       KernelFamily::kTripleBlock,
-      KernelFamily::kTripleBlockCached, KernelFamily::kPairPlaneBuild,
-      KernelFamily::kTupleBlock,      KernelFamily::kPrefixLadder,
-      KernelFamily::kFinalizeBatched,
-  };
-  for (const KernelFamily f : all) {
-    if (kernel_family_name(f) == name) return f;
   }
   return std::nullopt;
 }

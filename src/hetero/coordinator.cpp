@@ -48,26 +48,15 @@ HeteroResult HeteroCoordinator::run(const HeteroOptions& options) const {
   // budgets L1 for the cache.
   core::DetectorOptions cpu_base;
   cpu_base.version = options.cpu_version;
-  // Resolve (ISA, tiling) once — via the tuning profile when one is wired
-  // in, else the analytic model — and pin it, so the calibration probe
-  // below measures exactly the configuration the real partial scan runs.
-  std::optional<core::KernelConfigChoice> tuned;
-  if (options.config) {
-    tuned = options.config(core::KernelConfigRequest{
-        core::scan_kernel_family(3, cpu_base.version, false), 3,
-        impl_->num_samples, 0});
-    if (tuned && !core::kernel_available(tuned->isa)) tuned.reset();
-  }
-  cpu_base.isa = tuned ? tuned->isa : core::best_kernel_isa();
+  // Resolve (ISA, tiling) once and pin it, so the calibration probe below
+  // measures exactly the configuration the real partial scan runs.
+  cpu_base.isa = core::best_kernel_isa();
   cpu_base.isa_auto = false;
   cpu_base.objective = options.objective;
   cpu_base.threads = options.cpu_threads;
-  cpu_base.tiling =
-      tuned ? tuned->tiling
-            : core::autotune_tiling(
-                  core::detect_l1_config(),
-                  core::kernel_vector_words(cpu_base.isa),
-                  cpu_base.version == core::CpuVersion::kV5PairCache);
+  cpu_base.tiling = core::autotune_tiling(
+      core::detect_l1_config(), core::kernel_vector_words(cpu_base.isa),
+      cpu_base.version == core::CpuVersion::kV5PairCache);
 
   HeteroResult result;
   result.cpu_version = cpu_base.version;

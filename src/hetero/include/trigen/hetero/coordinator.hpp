@@ -46,11 +46,6 @@ struct HeteroOptions {
   std::size_t top_k = 1;
   gpusim::GpuVersion gpu_version = gpusim::GpuVersion::kV4Tiled;
   gpusim::LaunchConfig launch{};
-  /// Optional empirical-tuning lookup for the CPU side (see
-  /// core/kernel_config.hpp).  Consulted once before calibration so probe
-  /// and production scan share one pinned (ISA, tiling); a miss or unset
-  /// resolver keeps the analytic model.
-  core::ConfigResolver config{};
 };
 
 /// Outcome of a co-run.

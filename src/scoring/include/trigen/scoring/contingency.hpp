@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 
 #include "trigen/dataset/genotype_matrix.hpp"
 
@@ -92,6 +93,11 @@ ContingencyTable reference_contingency(const dataset::GenotypeMatrix& d,
 template <unsigned K>
 BasicContingencyTable<K> reference_contingency_k(
     const dataset::GenotypeMatrix& d, const std::array<std::uint32_t, K>& snps) {
+  for (const std::uint32_t s : snps) {
+    if (s >= d.num_snps()) {
+      throw std::out_of_range("reference_contingency_k: SNP index out of range");
+    }
+  }
   BasicContingencyTable<K> t;
   for (std::size_t j = 0; j < d.num_samples(); ++j) {
     std::size_t cell = 0;

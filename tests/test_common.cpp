@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include <sys/stat.h>
 
 #include "trigen/common/aligned.hpp"
 #include "trigen/common/args.hpp"
 #include "trigen/common/cpuid.hpp"
 #include "trigen/common/log.hpp"
+#include "trigen/common/numa.hpp"
 #include "trigen/common/rng.hpp"
 #include "trigen/common/stopwatch.hpp"
 #include "trigen/common/table.hpp"
@@ -356,6 +362,57 @@ TEST(Args, GetUintRejectsGarbageAndOverflow) {
   EXPECT_THROW(a.get_uint("shards", 0), std::invalid_argument);
   EXPECT_THROW(a.get_uint("shard", 0), std::invalid_argument);
   EXPECT_THROW(a.get_uint("checkpoint-every", 0), std::invalid_argument);
+}
+
+TEST(Args, UnknownFlagsListsKeysOutsideTheKnownSet) {
+  const Args a = parse_args({"d.tg", "--objectve", "mi", "--top", "5",
+                             "--profile", "x", "--progress"},
+                            {"progress"});
+  EXPECT_EQ(a.unknown_flags({"objective", "top", "progress"}),
+            (std::vector<std::string>{"objectve", "profile"}));
+  EXPECT_TRUE(a.unknown_flags({"objectve", "top", "profile", "progress"})
+                  .empty());
+}
+
+// --------------------------------------------------------------------------
+// numa (injectable sysfs parsers, fake trees)
+// --------------------------------------------------------------------------
+
+void write_file(const std::string& path, const std::string& content) {
+  std::ofstream os(path);
+  os << content;
+}
+
+TEST(Numa, NumaTopologyFromFakeTree) {
+  const std::string root = ::testing::TempDir() + "trigen_common_sysfs_node";
+  ::mkdir(root.c_str(), 0777);
+  ::mkdir((root + "/node0").c_str(), 0777);
+  ::mkdir((root + "/node2").c_str(), 0777);  // sparse numbering
+  write_file(root + "/online", "0,2");
+  write_file(root + "/node0/cpulist", "0-3");
+  write_file(root + "/node2/cpulist", "4-5,8");
+  const NumaTopology topo = read_numa_topology(root);
+  ASSERT_EQ(topo.nodes(), 2u);
+  EXPECT_EQ(topo.node_cpus[0], (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(topo.node_cpus[1], (std::vector<int>{4, 5, 8}));
+}
+
+TEST(Numa, MissingNumaTreeYieldsOneNode) {
+  const NumaTopology topo =
+      read_numa_topology(::testing::TempDir() + "trigen_common_no_such_dir");
+  EXPECT_EQ(topo.nodes(), 1u);
+  // One-node topologies never bind (the no-op contract).
+  EXPECT_EQ(bind_thread_round_robin(topo, 0), -1);
+}
+
+TEST(Numa, ParseCpuList) {
+  EXPECT_EQ(parse_cpu_list("0-3,8,10-11"),
+            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
+  EXPECT_EQ(parse_cpu_list("7"), (std::vector<int>{7}));
+  EXPECT_TRUE(parse_cpu_list("").empty());
+  EXPECT_TRUE(parse_cpu_list("banana").empty());
+  // Inverted ranges stop the parse instead of exploding.
+  EXPECT_EQ(parse_cpu_list("5-2"), (std::vector<int>{}));
 }
 
 }  // namespace

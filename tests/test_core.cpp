@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <map>
 #include <random>
 #include <set>
+#include <string>
+#include <vector>
+
+#include <sys/stat.h>
 
 #include "test_util.hpp"
 #include "trigen/core/blocked_engine.hpp"
@@ -115,6 +121,16 @@ TEST(KernelRegistry, AvailableImpliesCompiledIn) {
       EXPECT_TRUE(compiled.count(isa) == 1) << kernel_isa_name(isa);
     }
   }
+}
+
+TEST(KernelRegistry, KernelIsaParsesEveryName) {
+  for (const core::KernelIsa isa : core::all_kernel_isas()) {
+    const auto parsed = core::parse_kernel_isa(core::kernel_isa_name(isa));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, isa);
+  }
+  EXPECT_FALSE(core::parse_kernel_isa("sse9").has_value());
+  EXPECT_FALSE(core::parse_kernel_isa("").has_value());
 }
 
 // --------------------------------------------------------------------------
@@ -579,6 +595,46 @@ TEST(Tiling, DetectedHostConfigIsUsable) {
   EXPECT_GE(p.bs, 1u);
 }
 
+void write_file(const std::string& path, const std::string& content) {
+  std::ofstream os(path);
+  os << content;
+}
+
+TEST(Tiling, L1ConfigReadsRequestedCpuFromFakeTree) {
+  const std::string root = ::testing::TempDir() + "trigen_core_sysfs_cpu";
+  ::mkdir(root.c_str(), 0777);
+  // cpu0: a 32K/8-way L1D at index0.  cpu1: instruction cache at index0
+  // (must be skipped) and a 48K/12-way Unified L1 at index1.
+  for (const char* d :
+       {"/cpu0", "/cpu0/cache", "/cpu0/cache/index0", "/cpu1", "/cpu1/cache",
+        "/cpu1/cache/index0", "/cpu1/cache/index1"}) {
+    ::mkdir((root + d).c_str(), 0777);
+  }
+  write_file(root + "/cpu0/cache/index0/level", "1");
+  write_file(root + "/cpu0/cache/index0/type", "Data");
+  write_file(root + "/cpu0/cache/index0/size", "32K");
+  write_file(root + "/cpu0/cache/index0/ways_of_associativity", "8");
+  write_file(root + "/cpu1/cache/index0/level", "1");
+  write_file(root + "/cpu1/cache/index0/type", "Instruction");
+  write_file(root + "/cpu1/cache/index0/size", "32K");
+  write_file(root + "/cpu1/cache/index0/ways_of_associativity", "8");
+  write_file(root + "/cpu1/cache/index1/level", "1");
+  write_file(root + "/cpu1/cache/index1/type", "Unified");
+  write_file(root + "/cpu1/cache/index1/size", "48K");
+  write_file(root + "/cpu1/cache/index1/ways_of_associativity", "12");
+
+  const core::L1Config c0 = core::detect_l1_config(root, 0);
+  EXPECT_EQ(c0.size_bytes, 32u * 1024);
+  EXPECT_EQ(c0.ways, 8u);
+  const core::L1Config c1 = core::detect_l1_config(root, 1);
+  EXPECT_EQ(c1.size_bytes, 48u * 1024);
+  EXPECT_EQ(c1.ways, 12u);
+  // A CPU with no entries falls back to cpu0's geometry.
+  const core::L1Config c9 = core::detect_l1_config(root, 9);
+  EXPECT_EQ(c9.size_bytes, 32u * 1024);
+  EXPECT_EQ(c9.ways, 8u);
+}
+
 // --------------------------------------------------------------------------
 // TopK
 // --------------------------------------------------------------------------
@@ -1017,6 +1073,63 @@ TEST(Detector, ExplicitTilingHonored) {
   const DetectionResult r = det.run(opt);
   EXPECT_EQ(r.tiling_used.bs, 2u);
   EXPECT_EQ(r.tiling_used.bp_words, 16u);
+}
+
+TEST(Detector, ExplicitIsaAndTilingPinLandInResultAndAreBitIdentical) {
+  const auto d = random_dataset({12, 100, 11});
+  const Detector det(d);
+
+  DetectorOptions analytic;
+  analytic.version = CpuVersion::kV5PairCache;
+  analytic.top_k = 5;
+  const auto base = det.run(analytic);
+  // Fully auto: the widest ISA and the analytic L1 model.
+  EXPECT_EQ(base.isa_used, best_kernel_isa());
+  EXPECT_EQ(base.tiling_used.bs,
+            autotune_tiling(detect_l1_config(),
+                            kernel_vector_words(base.isa_used), 3, true)
+                .bs);
+
+  // A deliberately non-analytic pin of both ISA and tiling.
+  DetectorOptions pinned = analytic;
+  pinned.isa = KernelIsa::kScalar;
+  pinned.isa_auto = false;
+  pinned.tiling = {3, 64};
+  const auto r = det.run(pinned);
+
+  // The pinned configuration is what actually ran...
+  EXPECT_EQ(r.isa_used, KernelIsa::kScalar);
+  EXPECT_EQ(r.tiling_used.bs, 3u);
+  EXPECT_EQ(r.tiling_used.bp_words, 64u);
+  // ...and the results are bit-identical to the analytic configuration.
+  ASSERT_EQ(r.best.size(), base.best.size());
+  for (std::size_t i = 0; i < base.best.size(); ++i) {
+    EXPECT_EQ(r.best[i].triplet, base.best[i].triplet);
+    EXPECT_EQ(std::memcmp(&r.best[i].score, &base.best[i].score,
+                          sizeof(double)),
+              0);
+  }
+}
+
+TEST(Detector, BatchedScanHonorsExplicitPins) {
+  const auto d = random_dataset({10, 100, 5});
+  const Detector det(d);
+  std::vector<std::vector<dataset::Phenotype>> parts(
+      3, std::vector<dataset::Phenotype>(d.num_samples(), 0));
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (std::size_t s = p; s < parts[p].size(); s += p + 2) parts[p][s] = 1;
+  }
+  const auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+  DetectorOptions opt;
+  const auto base = det.run_batched(batch, opt);
+  EXPECT_EQ(base.isa_used, best_kernel_isa());
+  opt.isa = KernelIsa::kScalar;
+  opt.isa_auto = false;
+  opt.tiling = {3, 64};
+  const auto r = det.run_batched(batch, opt);
+  EXPECT_EQ(r.isa_used, KernelIsa::kScalar);
+  EXPECT_EQ(r.tiling_used.bs, 3u);
+  EXPECT_EQ(r.tiling_used.bp_words, 64u);
 }
 
 TEST(Detector, ChunkSizeDoesNotChangeResults)

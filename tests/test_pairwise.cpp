@@ -5,13 +5,20 @@
 #include <random>
 
 #include "test_util.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
+#include "trigen/combinatorics/combinations.hpp"
+#include "trigen/core/detector.hpp"
+#include "trigen/scoring/contingency.hpp"
 #include "trigen/scoring/chi_squared.hpp"
 #include "trigen/scoring/generic.hpp"
 #include "trigen/scoring/mutual_information.hpp"
 
-namespace trigen::pairwise {
+namespace trigen {
 namespace {
+
+using combinatorics::num_pairs;
+using combinatorics::rank_pair;
+using core::ScoredPair;
+using scoring::PairContingencyTable;
 
 using trigen::test::Shape;
 using trigen::test::random_dataset;
@@ -22,10 +29,10 @@ using trigen::test::small_shapes;
 // --------------------------------------------------------------------------
 
 TEST(PairRank, FirstPairs) {
-  EXPECT_EQ(rank_pair(0, 1), 0u);
-  EXPECT_EQ(rank_pair(0, 2), 1u);
-  EXPECT_EQ(rank_pair(1, 2), 2u);
-  EXPECT_EQ(rank_pair(0, 3), 3u);
+  EXPECT_EQ(rank_pair({0, 1}), 0u);
+  EXPECT_EQ(rank_pair({0, 2}), 1u);
+  EXPECT_EQ(rank_pair({1, 2}), 2u);
+  EXPECT_EQ(rank_pair({0, 3}), 3u);
 }
 
 TEST(PairRank, CountsMatch) {
@@ -38,7 +45,7 @@ TEST(PairRank, ExhaustiveOrdering) {
   std::uint64_t rank = 0;
   for (std::uint32_t y = 1; y < 60; ++y) {
     for (std::uint32_t x = 0; x < y; ++x) {
-      ASSERT_EQ(rank_pair(x, y), rank);
+      ASSERT_EQ(rank_pair({x, y}), rank);
       ++rank;
     }
   }
@@ -49,9 +56,16 @@ TEST(PairRank, ExhaustiveOrdering) {
 // Pair contingency tables
 // --------------------------------------------------------------------------
 
+/// Ground-truth pair table by per-sample counting.
+PairContingencyTable reference_pair_table(const dataset::GenotypeMatrix& d,
+                                          std::size_t x, std::size_t y) {
+  return scoring::reference_contingency_k<2>(
+      d, {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)});
+}
+
 TEST(PairTableRef, CountsEverySampleOnce) {
   const auto d = random_dataset({6, 100, 3});
-  const PairTable t = reference_pair_table(d, 1, 4);
+  const PairContingencyTable t = reference_pair_table(d, 1, 4);
   std::uint32_t total = 0;
   for (int c = 0; c < 2; ++c) {
     for (const auto v : t.counts[static_cast<std::size_t>(c)]) total += v;
@@ -71,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PairKernelShapeTest,
 
 TEST_P(PairKernelShapeTest, KernelMatchesReferenceForEveryIsa) {
   const auto d = random_dataset(GetParam());
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   const std::size_t m = d.num_snps();
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!core::kernel_available(isa)) continue;
@@ -86,7 +100,7 @@ TEST_P(PairKernelShapeTest, KernelMatchesReferenceForEveryIsa) {
 
 TEST(PairDetector, ContingencyArgumentValidation) {
   const auto d = random_dataset({5, 40, 7});
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   EXPECT_THROW((void)det.contingency(0, 5), std::out_of_range);
   EXPECT_THROW((void)det.contingency(2, 2), std::out_of_range);
 }
@@ -113,12 +127,12 @@ dataset::GenotypeMatrix planted_pair_dataset(std::uint64_t seed) {
 
 TEST(PairDetector, RejectsTinyDatasets) {
   dataset::GenotypeMatrix d(1, 10);
-  EXPECT_THROW(PairDetector{d}, std::invalid_argument);
+  EXPECT_THROW(core::BasicDetector<2>{d}, std::invalid_argument);
 }
 
 TEST(PairDetector, FindsPlantedPair) {
   const auto d = planted_pair_dataset(5);
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   const auto r = det.run({});
   ASSERT_FALSE(r.best.empty());
   EXPECT_EQ(r.best[0].x, 2u);
@@ -127,11 +141,11 @@ TEST(PairDetector, FindsPlantedPair) {
 
 TEST(PairDetector, AllObjectivesFindPlantedPair) {
   const auto d = planted_pair_dataset(9);
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   for (const auto o :
        {core::Objective::kK2, core::Objective::kMutualInformation,
         core::Objective::kChiSquared}) {
-    PairDetectorOptions opt;
+    core::BasicDetectorOptions<2> opt;
     opt.objective = o;
     const auto r = det.run(opt);
     EXPECT_EQ(r.best[0].x, 2u) << core::objective_name(o);
@@ -141,15 +155,15 @@ TEST(PairDetector, AllObjectivesFindPlantedPair) {
 
 TEST(PairDetector, AllIsasIdenticalResults) {
   const auto d = random_dataset({16, 333, 11});
-  const PairDetector det(d);
-  PairDetectorOptions base;
+  const core::BasicDetector<2> det(d);
+  core::BasicDetectorOptions<2> base;
   base.isa = core::KernelIsa::kScalar;
   base.isa_auto = false;
   base.top_k = 8;
   const auto ref = det.run(base);
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!core::kernel_available(isa)) continue;
-    PairDetectorOptions opt = base;
+    core::BasicDetectorOptions<2> opt = base;
     opt.isa = isa;
     const auto r = det.run(opt);
     ASSERT_EQ(r.best.size(), ref.best.size());
@@ -163,8 +177,8 @@ TEST(PairDetector, AllIsasIdenticalResults) {
 
 TEST(PairDetector, DeterministicAcrossThreads) {
   const auto d = random_dataset({18, 150, 13});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const core::BasicDetector<2> det(d);
+  core::BasicDetectorOptions<2> opt;
   opt.top_k = 5;
   const auto one = det.run(opt);
   for (unsigned threads : {2u, 5u}) {
@@ -181,7 +195,7 @@ TEST(PairDetector, DeterministicAcrossThreads) {
 
 TEST(PairDetector, CountsAndMetadata) {
   const auto d = random_dataset({12, 90, 17});
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   const auto r = det.run({});
   EXPECT_EQ(r.combinations_evaluated, num_pairs(12));
   EXPECT_EQ(r.elements, r.combinations_evaluated * 90);
@@ -192,25 +206,25 @@ TEST(PairDetector, CountsAndMetadata) {
 
 TEST(PairDetector, TopKSortedUnique) {
   const auto d = random_dataset({15, 120, 19});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const core::BasicDetector<2> det(d);
+  core::BasicDetectorOptions<2> opt;
   opt.top_k = 12;
   const auto r = det.run(opt);
   ASSERT_EQ(r.best.size(), 12u);
   for (std::size_t i = 1; i < r.best.size(); ++i) {
     EXPECT_LE(r.best[i - 1].score, r.best[i].score);
-    EXPECT_NE(rank_pair(r.best[i - 1].x, r.best[i - 1].y),
-              rank_pair(r.best[i].x, r.best[i].y));
+    EXPECT_NE(rank_pair({r.best[i - 1].x, r.best[i - 1].y}),
+              rank_pair({r.best[i].x, r.best[i].y}));
   }
 }
 
 TEST(PairDetector, BadOptionsThrow) {
   const auto d = random_dataset({6, 50, 23});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const core::BasicDetector<2> det(d);
+  core::BasicDetectorOptions<2> opt;
   opt.top_k = 0;
   EXPECT_THROW(det.run(opt), std::invalid_argument);
-  PairDetectorOptions bad_range;
+  core::BasicDetectorOptions<2> bad_range;
   bad_range.range = {0, num_pairs(6) + 1};
   EXPECT_THROW(det.run(bad_range), std::invalid_argument);
 }
@@ -244,8 +258,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, PairVersionShapeTest,
 
 TEST_P(PairVersionShapeTest, EveryVersionMatchesTheNaiveReferenceExactly) {
   const auto d = random_dataset(GetParam());
-  const PairDetector det(d);
-  PairDetectorOptions ref_opt;
+  const core::BasicDetector<2> det(d);
+  core::BasicDetectorOptions<2> ref_opt;
   ref_opt.version = core::CpuVersion::kV1Naive;
   ref_opt.top_k = 6;
   const auto ref = det.run(ref_opt);
@@ -255,7 +269,7 @@ TEST_P(PairVersionShapeTest, EveryVersionMatchesTheNaiveReferenceExactly) {
         core::CpuVersion::kV4Vector, core::CpuVersion::kV5PairCache}) {
     for (const core::KernelIsa isa : core::all_kernel_isas()) {
       if (!core::kernel_available(isa)) continue;
-      PairDetectorOptions opt;
+      core::BasicDetectorOptions<2> opt;
       opt.version = version;
       opt.isa = isa;
       opt.isa_auto = false;
@@ -271,12 +285,12 @@ TEST_P(PairVersionShapeTest, EveryVersionMatchesTheNaiveReferenceExactly) {
 
 TEST(PairDetector, PlantedPairFoundByEveryVersion) {
   const auto d = planted_pair_dataset(21);
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   for (const auto version :
        {core::CpuVersion::kV1Naive, core::CpuVersion::kV2Split,
         core::CpuVersion::kV3Blocked, core::CpuVersion::kV4Vector,
         core::CpuVersion::kV5PairCache}) {
-    PairDetectorOptions opt;
+    core::BasicDetectorOptions<2> opt;
     opt.version = version;
     const auto r = det.run(opt);
     EXPECT_EQ(r.best[0].x, 2u) << core::cpu_version_name(version);
@@ -290,10 +304,10 @@ TEST(PairDetector, PlantedPairFoundByEveryVersion) {
 
 TEST(PairDetectorRange, KWayRandomSplitsReproduceTheFullScanExactly) {
   const auto d = random_dataset({18, 150, 37});
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   const std::uint64_t total = num_pairs(18);
 
-  PairDetectorOptions base;
+  core::BasicDetectorOptions<2> base;
   base.top_k = 9;
   const auto full = det.run(base);
 
@@ -310,7 +324,7 @@ TEST(PairDetectorRange, KWayRandomSplitsReproduceTheFullScanExactly) {
 
     core::PairTopK acc(base.top_k);
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-      PairDetectorOptions opt = base;
+      core::BasicDetectorOptions<2> opt = base;
       opt.range = {cuts[i], cuts[i + 1]};
       // Rotate the engine version (and an odd tiling) across partitions:
       // the merged result must not care who scanned what.
@@ -333,17 +347,17 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
   // reproduces the V2 per-pair reference exactly, full-scan and over
   // random K-way splits, for every compiled-in ISA.
   const auto d = random_dataset({18, 150, 37});
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   const std::uint64_t total = num_pairs(18);
 
-  PairDetectorOptions ref_opt;
+  core::BasicDetectorOptions<2> ref_opt;
   ref_opt.version = core::CpuVersion::kV2Split;
   ref_opt.top_k = 9;
   const auto ref = det.run(ref_opt);
 
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!core::kernel_available(isa)) continue;
-    PairDetectorOptions v5;
+    core::BasicDetectorOptions<2> v5;
     v5.version = core::CpuVersion::kV5PairCache;
     v5.isa = isa;
     v5.isa_auto = false;
@@ -363,7 +377,7 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
       core::PairTopK acc(v5.top_k);
       std::uint64_t covered = 0;
       for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-        PairDetectorOptions part = v5;
+        core::BasicDetectorOptions<2> part = v5;
         part.range = {cuts[i], cuts[i + 1]};
         const auto r = det.run(part);
         covered += r.combinations_evaluated;
@@ -377,14 +391,14 @@ TEST(PairDetectorRange, V5BitIdenticalToV2OverRandomRankRanges) {
 
 TEST(PairDetectorRange, SinglePairRangesCoverTheSpace) {
   const auto d = random_dataset({8, 100, 41});
-  const PairDetector det(d);
+  const core::BasicDetector<2> det(d);
   const std::uint64_t total = num_pairs(8);
-  PairDetectorOptions base;
+  core::BasicDetectorOptions<2> base;
   base.top_k = 4;
   const auto full = det.run(base);
   core::PairTopK acc(base.top_k);
   for (std::uint64_t r = 0; r < total; ++r) {
-    PairDetectorOptions opt = base;
+    core::BasicDetectorOptions<2> opt = base;
     opt.range = {r, r + 1};
     const auto part = det.run(opt);
     ASSERT_EQ(part.best.size(), 1u);
@@ -395,8 +409,8 @@ TEST(PairDetectorRange, SinglePairRangesCoverTheSpace) {
 
 TEST(PairDetectorRange, ProgressSumsToTheRange) {
   const auto d = random_dataset({16, 200, 43});
-  const PairDetector det(d);
-  PairDetectorOptions opt;
+  const core::BasicDetector<2> det(d);
+  core::BasicDetectorOptions<2> opt;
   opt.range = {11, 97};
   std::uint64_t last_done = 0;
   std::uint64_t reported_total = 0;
@@ -449,4 +463,4 @@ TEST(GenericScoring, PairwisePenetranceIgnoresThirdSnp) {
 }
 
 }  // namespace
-}  // namespace trigen::pairwise
+}  // namespace trigen

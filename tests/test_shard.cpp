@@ -15,7 +15,6 @@
 #include "trigen/combinatorics/combinations.hpp"
 #include "trigen/core/detector.hpp"
 #include "trigen/dataset/io.hpp"
-#include "trigen/pairwise/pair_detector.hpp"
 #include "trigen/shard/merge.hpp"
 #include "trigen/shard/plan.hpp"
 #include "trigen/shard/result_io.hpp"
@@ -479,13 +478,13 @@ class PairShard : public ::testing::Test {
  protected:
   void SetUp() override {
     d_ = random_dataset({24, 150, 53});
-    det_ = std::make_unique<pairwise::PairDetector>(d_);
+    det_ = std::make_unique<core::BasicDetector<2>>(d_);
     fp_ = dataset_fingerprint(d_);
-    total_ = pairwise::num_pairs(24);
+    total_ = combinatorics::num_pairs(24);
   }
 
   PairShardResult scan_pair_range(RankRange range, std::size_t top_k,
-                                  pairwise::PairDetectorOptions dopt = {}) {
+                                  core::BasicDetectorOptions<2> dopt = {}) {
     PairShardRunOptions opt;
     opt.detector = dopt;
     opt.detector.top_k = top_k;
@@ -496,7 +495,7 @@ class PairShard : public ::testing::Test {
   }
 
   dataset::GenotypeMatrix d_;
-  std::unique_ptr<pairwise::PairDetector> det_;
+  std::unique_ptr<core::BasicDetector<2>> det_;
   std::uint64_t fp_ = 0;
   std::uint64_t total_ = 0;
 };
@@ -549,7 +548,7 @@ TEST_F(PairShard, EveryTruncationIsRejected) {
 
 TEST_F(PairShard, RandomFullCoverageSplitsReproduceTheFullPairScanExactly) {
   std::mt19937_64 rng(777);
-  pairwise::PairDetectorOptions base;
+  core::BasicDetectorOptions<2> base;
   base.top_k = 11;
   const auto full = det_->run(base);
 
@@ -565,7 +564,7 @@ TEST_F(PairShard, RandomFullCoverageSplitsReproduceTheFullPairScanExactly) {
     std::vector<PairShardResult> shards;
     for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
       // Rotate engine versions across shards, like the triplet battery.
-      pairwise::PairDetectorOptions dopt;
+      core::BasicDetectorOptions<2> dopt;
       dopt.version = static_cast<core::CpuVersion>(i % 4);
       if (dopt.version == core::CpuVersion::kV3Blocked ||
           dopt.version == core::CpuVersion::kV4Vector) {
@@ -601,7 +600,7 @@ TEST_F(PairShard, MergeRejectsGapsOverlapsAndMismatches) {
   EXPECT_EQ(left.range.last, 180u);
   const PairMergedScan all =
       merge_pair_shards({to_shard_result(left), hi});
-  pairwise::PairDetectorOptions base;
+  core::BasicDetectorOptions<2> base;
   base.top_k = 4;
   expect_same_pair_entries(all.result.best, det_->run(base).best);
 }
