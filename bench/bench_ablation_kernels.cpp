@@ -60,16 +60,16 @@ void bench_cached_kernel(benchmark::State& state, core::KernelIsa isa) {
   const auto d = dataset::generate_balanced(4, samples, 7);
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const core::CachedKernelSet ks = core::get_cached_kernels(isa);
-  core::PairPlaneCache cache;
-  cache.ensure(planes.words(0));
-  std::fill(cache.pops(), cache.pops() + 9, 0u);
+  core::PrefixPlaneCache cache;
+  cache.ensure(3, planes.words(0));
+  std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
   ks.build(planes.plane(0, 0, 0), planes.plane(0, 0, 1),
            planes.plane(0, 1, 0), planes.plane(0, 1, 1), 0, planes.words(0),
-           cache.planes(), cache.stride(), cache.pops());
+           cache.rung(2), cache.stride(), cache.rung_pops(2));
 
   std::uint32_t ft[27] = {};
   for (auto _ : state) {
-    ks.cached(cache.planes(), cache.stride(), cache.pops(),
+    ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
               planes.plane(0, 2, 0), planes.plane(0, 2, 1), 0,
               planes.words(0), ft);
     benchmark::DoNotOptimize(ft);
@@ -93,15 +93,16 @@ void bench_build_kernel(benchmark::State& state, core::KernelIsa isa) {
   const auto d = dataset::generate_balanced(4, samples, 7);
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const core::CachedKernelSet ks = core::get_cached_kernels(isa);
-  core::PairPlaneCache cache;
-  cache.ensure(planes.words(0));
+  core::PrefixPlaneCache cache;
+  cache.ensure(3, planes.words(0));
 
   for (auto _ : state) {
-    std::fill(cache.pops(), cache.pops() + 9, 0u);
+    std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
     ks.build(planes.plane(0, 0, 0), planes.plane(0, 0, 1),
              planes.plane(0, 1, 0), planes.plane(0, 1, 1), 0,
-             planes.words(0), cache.planes(), cache.stride(), cache.pops());
-    benchmark::DoNotOptimize(cache.planes());
+             planes.words(0), cache.rung(2), cache.stride(),
+             cache.rung_pops(2));
+    benchmark::DoNotOptimize(cache.rung(2));
   }
   state.counters["words/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
@@ -254,20 +255,20 @@ void bench_batch_finalize(benchmark::State& state, core::KernelIsa isa) {
 
   const core::CachedKernelSet cached = core::get_cached_kernels(isa);
   const core::BatchKernelSet bk = core::get_batch_kernels(isa);
-  core::PairPlaneCache cache;
-  cache.ensure(words);
-  std::fill(cache.pops(), cache.pops() + 9, 0u);
+  core::PrefixPlaneCache cache;
+  cache.ensure(3, words);
+  std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
   cached.build(planes.plane(0, 0, 0), planes.plane(0, 0, 1),
                planes.plane(0, 1, 0), planes.plane(0, 1, 1), 0, words,
-               cache.planes(), cache.stride(), cache.pops());
+               cache.rung(2), cache.stride(), cache.rung_pops(2));
 
   std::vector<std::uint32_t> label_pops(9 * batch.stride());
   std::vector<std::uint32_t> ft((1 + kSlots) * 27, 0);
   for (auto _ : state) {
     std::fill(label_pops.begin(), label_pops.end(), 0u);
-    bk.label_pops(cache.planes(), 9, cache.stride(), batch.word_labels(),
+    bk.label_pops(cache.rung(2), 9, cache.stride(), batch.word_labels(),
                   batch.size(), batch.stride(), 0, words, label_pops.data());
-    bk.finalize(cache.planes(), 9, cache.stride(), cache.pops(),
+    bk.finalize(cache.rung(2), 9, cache.stride(), cache.rung_pops(2),
                 label_pops.data(), planes.plane(0, 2, 0),
                 planes.plane(0, 2, 1), batch.word_labels(), batch.size(),
                 batch.stride(), 0, words, ft.data(), 27);

@@ -170,6 +170,85 @@ scoring::BasicContingencyTable<K> contingency_v1_of(
   return t;
 }
 
+/// V2 evaluation at any order: the order's direct leaf kernel over the
+/// full sample range of each class, with the padding correction.
+template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_split_of(
+    const dataset::PhenoSplitPlanes& p, const Combination<K>& s,
+    const EngineKernels& kernels) {
+  scoring::BasicContingencyTable<K> t;
+  std::array<const Word*, K> g0;
+  std::array<const Word*, K> g1;
+  for (int c = 0; c < 2; ++c) {
+    for (unsigned i = 0; i < K; ++i) {
+      g0[i] = p.plane(c, s[i], 0);
+      g1[i] = p.plane(c, s[i], 1);
+    }
+    auto& row = t.counts[static_cast<std::size_t>(c)];
+    kernels.direct<K>(g0, g1, 0, p.words(c), row.data());
+    // NOR padding shows up as phantom all-genotype-2 observations.
+    row.back() -= static_cast<std::uint32_t>(p.pad_bits(c));
+  }
+  return t;
+}
+
+/// What run() and run_batched() resolve before scanning.
+template <unsigned K>
+struct ScanPlan {
+  KernelIsa isa = KernelIsa::kScalar;
+  RankRange range;
+  /// `range` when it is a strict sub-range, else kFullRange (no clipping).
+  RankRange clip = kFullRange;
+  std::function<double(const scoring::BasicContingencyTable<K>&)> scorer;
+  ScanConfig cfg;
+};
+
+/// The preamble shared by run() and run_batched(): ISA resolution and
+/// availability, the top-k check, the rank range, the scorer and the
+/// ScanConfig.  `vector_isa` marks the vector rungs (V4, V5 and
+/// the batched engine), which default to the widest available strategy;
+/// V1 and V3 are scalar by definition, and V2 honors an explicitly
+/// requested ISA (the heterogeneous coordinator pairs the per-combination
+/// path with a vector kernel).
+template <unsigned K>
+ScanPlan<K> plan_scan(const BasicDetectorOptions<K>& options, bool vector_isa,
+                      std::size_t num_snps, std::size_t num_samples) {
+  ScanPlan<K> plan;
+  if (vector_isa) {
+    plan.isa = options.isa_auto ? best_kernel_isa() : options.isa;
+  } else if (options.version == CpuVersion::kV2Split && !options.isa_auto) {
+    plan.isa = options.isa;
+  }
+  if (!kernel_available(plan.isa)) {
+    throw std::runtime_error("requested kernel ISA not available: " +
+                             kernel_isa_name(plan.isa));
+  }
+  if (options.top_k == 0) {
+    throw std::invalid_argument("DetectorOptions::top_k must be >= 1");
+  }
+
+  const std::uint64_t total = combinatorics::n_choose_k(num_snps, K);
+  plan.range = options.range;
+  if (plan.range.empty()) plan.range = {0, total};
+  if (plan.range.last > total) {
+    throw std::invalid_argument("DetectorOptions::range exceeds the space");
+  }
+  if (plan.range.first != 0 || plan.range.last != total) {
+    plan.clip = plan.range;
+  }
+
+  plan.scorer = options.scorer ? options.scorer
+                               : make_normalized_scorer_of<K>(
+                                     options.objective,
+                                     static_cast<std::uint32_t>(num_samples));
+
+  plan.cfg.threads = resolve_threads(options.threads);
+  plan.cfg.chunk_size = options.chunk_size;
+  plan.cfg.progress = options.progress;
+  plan.cfg.progress_total = plan.range.size();
+  return plan;
+}
+
 }  // namespace
 
 template <unsigned K>
@@ -180,223 +259,101 @@ scoring::BasicContingencyTable<K> BasicDetector<K>::contingency(
       throw std::out_of_range("Detector::contingency: bad SNP indices");
     }
   }
-  const dataset::PhenoSplitPlanes& p = impl_->split;
-  scoring::BasicContingencyTable<K> t;
-  if constexpr (K == 3) {
-    t = contingency_split(p, snps[0], snps[1], snps[2], isa);
-  } else if constexpr (K == 2) {
-    // The chunk popcounts of the nine x∩y intersections are the table.
-    const CachedKernelSet kernels = get_cached_kernels(isa);
-    for (int c = 0; c < 2; ++c) {
-      std::array<std::uint32_t, 9> pops{};
-      kernels.count(p.plane(c, snps[0], 0), p.plane(c, snps[0], 1),
-                    p.plane(c, snps[1], 0), p.plane(c, snps[1], 1), 0,
-                    p.words(c), pops.data());
-      auto& row = t.counts[static_cast<std::size_t>(c)];
-      for (int i = 0; i < 9; ++i) row[static_cast<std::size_t>(i)] = pops[static_cast<std::size_t>(i)];
-      // NOR padding shows up as phantom (2, 2) observations.
-      row[8] -= static_cast<std::uint32_t>(p.pad_bits(c));
-    }
-  } else {
-    const GenericKernelSet kernels = get_generic_kernels(isa);
-    std::array<const Word*, K> g0;
-    std::array<const Word*, K> g1;
-    for (int c = 0; c < 2; ++c) {
-      for (unsigned i = 0; i < K; ++i) {
-        g0[i] = p.plane(c, snps[i], 0);
-        g1[i] = p.plane(c, snps[i], 1);
-      }
-      auto& row = t.counts[static_cast<std::size_t>(c)];
-      kernels.direct(g0.data(), g1.data(), K, 0, p.words(c), row.data());
-      // NOR padding shows up as phantom all-genotype-2 observations.
-      row[scoring::num_cells(K) - 1] -=
-          static_cast<std::uint32_t>(p.pad_bits(c));
-    }
-  }
-  return t;
+  return contingency_split_of<K>(impl_->split, snps, EngineKernels::of(isa));
 }
 
 template <unsigned K>
 BasicDetectionResult<K> BasicDetector<K>::run(
     const BasicDetectorOptions<K>& options) const {
   using Scored = ScoredOf<K>;
-  BasicDetectionResult<K> result;
-  result.threads_used = resolve_threads(options.threads);
   const bool cached = options.version == CpuVersion::kV5PairCache;
   const bool vector_version =
       options.version == CpuVersion::kV4Vector || cached;
-  // V1 and V3 are scalar by definition; V4/V5 default to the widest
-  // available strategy.  V2 honors an explicitly requested ISA (the
-  // heterogeneous coordinator pairs the per-combination path with a vector
-  // kernel).
-  result.isa_used = KernelIsa::kScalar;
-  if (vector_version) {
-    result.isa_used = options.isa_auto ? best_kernel_isa() : options.isa;
-  } else if (options.version == CpuVersion::kV2Split && !options.isa_auto) {
-    result.isa_used = options.isa;
-  }
-  if (!kernel_available(result.isa_used)) {
-    throw std::runtime_error("requested kernel ISA not available: " +
-                             kernel_isa_name(result.isa_used));
-  }
-  if (options.top_k == 0) {
-    throw std::invalid_argument("DetectorOptions::top_k must be >= 1");
-  }
+  const ScanPlan<K> plan = plan_scan<K>(options, vector_version,
+                                        impl_->num_snps, impl_->num_samples);
+  const auto& scorer = plan.scorer;
+  const ScanConfig& cfg = plan.cfg;
+  const EngineKernels kernels = EngineKernels::of(plan.isa);
 
-  const std::size_t m = impl_->num_snps;
-  const std::uint64_t total = combinatorics::n_choose_k(m, K);
-  RankRange range = options.range;
-  if (range.empty()) range = {0, total};
-  if (range.last > total) {
-    throw std::invalid_argument("DetectorOptions::range exceeds the space");
-  }
-  const bool partial = range.first != 0 || range.last != total;
-  result.combinations_evaluated = range.size();
-  result.elements = range.size() * impl_->num_samples;
-
-  const auto scorer =
-      options.scorer
-          ? options.scorer
-          : make_normalized_scorer_of<K>(
-                options.objective,
-                static_cast<std::uint32_t>(impl_->num_samples));
+  BasicDetectionResult<K> result;
+  result.threads_used = cfg.threads;
+  result.isa_used = plan.isa;
+  result.combinations_evaluated = plan.range.size();
+  result.elements = plan.range.size() * impl_->num_samples;
 
   // One shared driver runs every version: it owns the fork/join, the
   // per-thread TopK accumulators, the throttled progress callback and the
   // deterministic rank-ordered merge.  The versions only differ in how a
   // scheduled work unit maps to combinations.
-  ScanConfig cfg;
-  cfg.threads = result.threads_used;
-  cfg.chunk_size = options.chunk_size;
-  cfg.progress = options.progress;
-  cfg.progress_total = range.size();
-
   Stopwatch sw;
   BasicTopK<Scored> merged(options.top_k);
   const bool blocked =
       options.version == CpuVersion::kV3Blocked || vector_version;
   if (!blocked) {
-    // V1/V2: work unit = one combination rank inside `range`.
+    // V1/V2: work unit = one combination rank inside the range.
     const bool naive = options.version == CpuVersion::kV1Naive;
-    const KernelIsa isa = result.isa_used;
     merged = scan_best<Scored>(
-        range.size(), cfg, options.top_k,
+        plan.range.size(), cfg, options.top_k,
         [&](unsigned, RankRange r, BasicTopK<Scored>& top) -> std::uint64_t {
           combinatorics::for_each_combination<K>(
-              range.first + r.first, range.first + r.last,
+              plan.range.first + r.first, plan.range.first + r.last,
               [&](const Combination<K>& c) {
                 const scoring::BasicContingencyTable<K> table =
                     naive ? contingency_v1_of<K>(impl_->v1, c)
-                          : contingency(c, isa);
+                          : contingency_split_of<K>(impl_->split, c, kernels);
                 top.push(make_scored<K>(c, scorer(table)));
               });
           return r.size();
         });
     result.tiling_used = TilingParams{0, 0};
   } else {
-    // V3/V4/V5: work unit = one block tuple of the partition covering
-    // `range`; emitted combinations are clipped to the range at the
+    // V3/V4/V5: work unit = one block tuple of the partition covering the
+    // range; emitted combinations are clipped to the range at the
     // partition boundary (interior blocks pay no per-combination
     // overhead).  V5 budgets L1 for the prefix-plane ladder when
     // autotuning.
     TilingParams tiling = options.tiling;
     if (!tiling.valid()) {
       tiling = autotune_tiling(detect_l1_config(),
-                               kernel_vector_words(result.isa_used), K,
-                               cached);
+                               kernel_vector_words(plan.isa), K, cached);
     }
     result.tiling_used = tiling;
-    const combinatorics::BlockGrid grid{m, tiling.bs};
     const combinatorics::BlockPartition part =
-        combinatorics::partition_block_tuples<K>(grid, range);
-    const RankRange clip = partial ? range : kFullRange;
+        combinatorics::partition_block_tuples<K>(
+            combinatorics::BlockGrid{impl_->num_snps, tiling.bs}, plan.range);
     // Per-thread scratch is constructed lazily by the worker that owns it,
     // not here on the submitting thread: the constructor's zero-fill is the
     // first touch of the table and prefix-plane-cache pages, so on NUMA
     // hosts they land on the scanning thread's node.
     std::vector<std::unique_ptr<TupleBlockScratch<K>>> scratch(cfg.threads);
-    const auto thread_scratch = [&](unsigned tid) -> TupleBlockScratch<K>& {
-      auto& sc = scratch[tid];
-      if (!sc) sc = std::make_unique<TupleBlockScratch<K>>(tiling.bs);
-      return *sc;
-    };
-    const auto scan_blocks = [&](auto&& run_block) {
+    const auto scan_blocks = [&](auto&& scan_block) {
       return scan_best<Scored>(
           part.block_ranks.size(), cfg, options.top_k,
           [&](unsigned tid, RankRange r,
               BasicTopK<Scored>& top) -> std::uint64_t {
+            auto& sc = scratch[tid];
+            if (!sc) sc = std::make_unique<TupleBlockScratch<K>>(tiling.bs);
             std::uint64_t emitted = 0;
-            const auto on_comb = [&](const Combination<K>& c, double score) {
-              ++emitted;
-              top.push(make_scored<K>(c, score));
-            };
+            const auto on_table =
+                [&](const Combination<K>& c,
+                    const scoring::BasicContingencyTable<K>& t) {
+                  ++emitted;
+                  top.push(make_scored<K>(c, scorer(t)));
+                };
             for (std::uint64_t b = r.first; b < r.last; ++b) {
-              run_block(tid,
-                        unrank_block_tuple<K>(part.block_ranks.first + b),
-                        on_comb);
+              scan_block(impl_->split, tiling, kernels, *sc,
+                         unrank_block_tuple<K>(part.block_ranks.first + b),
+                         plan.clip, on_table);
             }
             return emitted;
           });
     };
-    if constexpr (K == 2) {
-      // The counts-only kernel is the whole pair evaluation; V3 runs its
-      // scalar variant, V4 and V5 the vector one (identical here — the
-      // ladder has no rungs below order 3).
-      const CachedKernelSet kernels = get_cached_kernels(result.isa_used);
-      merged = scan_blocks([&](unsigned tid, const BlockTuple<2>& bt,
-                               const auto& on_comb) {
-        scan_block_pair(impl_->split, tiling, kernels, thread_scratch(tid),
-                        BlockPair{bt[0], bt[1]}, clip,
-                        [&](const combinatorics::Pair& pr,
-                            const scoring::PairContingencyTable& tb) {
-                          on_comb(Combination<2>{pr.x, pr.y}, scorer(tb));
-                        });
-      });
-    } else if constexpr (K == 3) {
-      // The hand-tuned three-operand kernels (all per-ISA variants) stay on
-      // the hot path of the order the paper measures.
-      const auto run3 = [&](auto&& engine_kernels) {
-        return scan_blocks([&](unsigned tid, const BlockTuple<3>& bt,
-                               const auto& on_comb) {
-          scan_block_triple(impl_->split, tiling, engine_kernels,
-                            thread_scratch(tid),
-                            BlockTriple{bt[0], bt[1], bt[2]},
-                            clip,
-                            [&](const combinatorics::Triplet& tr,
-                                const scoring::ContingencyTable& tb) {
-                              on_comb(Combination<3>{tr.x, tr.y, tr.z},
-                                      scorer(tb));
-                            });
-        });
-      };
-      merged = cached ? run3(get_cached_kernels(result.isa_used))
-                      : run3(get_kernel(result.isa_used));
-    } else {
-      const GenericKernelSet generic = get_generic_kernels(result.isa_used);
-      const auto on_table = [&](const auto& on_comb) {
-        return [&scorer, on_comb](
-                   const Combination<K>& c,
-                   const scoring::BasicContingencyTable<K>& tb) {
-          on_comb(c, scorer(tb));
-        };
-      };
-      if (cached) {
-        const CachedKernelSet ck = get_cached_kernels(result.isa_used);
-        merged = scan_blocks([&](unsigned tid, const BlockTuple<K>& bt,
-                                 const auto& on_comb) {
-          scan_block_tuple<K>(impl_->split, tiling, ck, generic,
-                              thread_scratch(tid), bt, clip,
-                              on_table(on_comb));
-        });
-      } else {
-        merged = scan_blocks([&](unsigned tid, const BlockTuple<K>& bt,
-                                 const auto& on_comb) {
-          scan_block_tuple<K>(impl_->split, tiling, generic,
-                              thread_scratch(tid), bt, clip,
-                              on_table(on_comb));
-        });
-      }
-    }
+    merged = cached ? scan_blocks([](auto&&... a) {
+                        scan_block_tuple_ladder<K>(a...);
+                      })
+                    : scan_blocks([](auto&&... a) {
+                        scan_block_tuple<K>(a...);
+                      });
   }
   result.seconds = sw.seconds();
   result.best = merged.sorted();
@@ -412,72 +369,34 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
     throw std::invalid_argument(
         "run_batched: batch and dataset sample counts differ");
   }
-  if (options.top_k == 0) {
-    throw std::invalid_argument("DetectorOptions::top_k must be >= 1");
-  }
-  BasicBatchDetectionResult<K> result;
-  result.threads_used = resolve_threads(options.threads);
+  const ScanPlan<K> plan =
+      plan_scan<K>(options, true, impl_->num_snps, impl_->num_samples);
+  const auto& scorer = plan.scorer;
+  const ScanConfig& cfg = plan.cfg;
+  const EngineKernels kernels = EngineKernels::of(plan.isa);
   const std::size_t slots = batch.size();
-  result.isa_used = options.isa_auto ? best_kernel_isa() : options.isa;
-  if (!kernel_available(result.isa_used)) {
-    throw std::runtime_error("requested kernel ISA not available: " +
-                             kernel_isa_name(result.isa_used));
-  }
 
-  const std::size_t m = impl_->num_snps;
-  const std::uint64_t total = combinatorics::n_choose_k(m, K);
-  RankRange range = options.range;
-  if (range.empty()) range = {0, total};
-  if (range.last > total) {
-    throw std::invalid_argument("DetectorOptions::range exceeds the space");
-  }
-  const bool partial = range.first != 0 || range.last != total;
-  result.combinations_evaluated = range.size();
-  result.elements = range.size() * impl_->num_samples * slots;
+  BasicBatchDetectionResult<K> result;
+  result.threads_used = cfg.threads;
+  result.isa_used = plan.isa;
+  result.combinations_evaluated = plan.range.size();
+  result.elements = plan.range.size() * impl_->num_samples * slots;
 
-  const auto scorer =
-      options.scorer
-          ? options.scorer
-          : make_normalized_scorer_of<K>(
-                options.objective,
-                static_cast<std::uint32_t>(impl_->num_samples));
-
-  ScanConfig cfg;
-  cfg.threads = result.threads_used;
-  cfg.chunk_size = options.chunk_size;
-  cfg.progress = options.progress;
-  cfg.progress_total = range.size();
-
-  // Always the cached blocked engine (the whole point is amortizing the
-  // ladder), with the batch-aware L1 budget: the per-tuple tables grow to
-  // 1 + P slots and the resident label rows join the streamed block.
+  // Always the ladder walk (the whole point is amortizing it), with the
+  // batch-aware L1 budget: the per-tuple tables grow to 1 + P slots and the
+  // resident label rows join the streamed block.
   TilingParams tiling = options.tiling;
   if (!tiling.valid()) {
-    tiling = autotune_tiling(detect_l1_config(),
-                             kernel_vector_words(result.isa_used), K, true,
-                             slots, batch.stride());
+    tiling = autotune_tiling(detect_l1_config(), kernel_vector_words(plan.isa),
+                             K, true, slots, batch.stride());
   }
   result.tiling_used = tiling;
-
-  const CachedKernelSet cachedk = get_cached_kernels(result.isa_used);
-  const GenericKernelSet generic = get_generic_kernels(result.isa_used);
-  const BatchKernelSet bkern = get_batch_kernels(result.isa_used);
-
-  const combinatorics::BlockGrid grid{m, tiling.bs};
   const combinatorics::BlockPartition part =
-      combinatorics::partition_block_tuples<K>(grid, range);
-  const RankRange clip = partial ? range : kFullRange;
+      combinatorics::partition_block_tuples<K>(
+          combinatorics::BlockGrid{impl_->num_snps, tiling.bs}, plan.range);
 
   // Lazily constructed by the owning worker (NUMA first touch, as in run()).
   std::vector<std::unique_ptr<BatchTupleScratch<K>>> scratch(cfg.threads);
-  const auto thread_scratch = [&](unsigned tid) -> BatchTupleScratch<K>& {
-    auto& sc = scratch[tid];
-    if (!sc) {
-      sc = std::make_unique<BatchTupleScratch<K>>(tiling.bs, slots,
-                                                  batch.stride());
-    }
-    return *sc;
-  };
 
   Stopwatch sw;
   // One TopK per partition per thread; the per-partition merge keeps each
@@ -489,24 +408,27 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
       part.block_ranks.size(), cfg, per_thread,
       [&](unsigned tid, RankRange r,
           std::vector<BasicTopK<Scored>>& acc) -> std::uint64_t {
+        auto& sc = scratch[tid];
+        if (!sc) {
+          sc = std::make_unique<BatchTupleScratch<K>>(tiling.bs, slots,
+                                                      batch.stride());
+        }
         std::uint64_t emitted = 0;
         const auto on_table =
             [&](const Combination<K>& c, std::size_t p,
-                const scoring::BasicContingencyTable<K>& tb) {
+                const scoring::BasicContingencyTable<K>& t) {
               if (p == 0) ++emitted;  // combinations, not tables
-              acc[p].push(make_scored<K>(c, scorer(tb)));
+              acc[p].push(make_scored<K>(c, scorer(t)));
             };
         for (std::uint64_t b = r.first; b < r.last; ++b) {
           const BlockTuple<K> bt =
               unrank_block_tuple<K>(part.block_ranks.first + b);
           if constexpr (K == 2) {
-            scan_block_pair_batched(impl_->combined, batch, tiling, cachedk,
-                                    bkern, thread_scratch(tid),
-                                    BlockPair{bt[0], bt[1]}, clip, on_table);
+            scan_block_pair_batched(impl_->combined, batch, tiling, kernels,
+                                    *sc, bt, plan.clip, on_table);
           } else {
             scan_block_tuple_batched<K>(impl_->combined, batch, tiling,
-                                        cachedk, generic, bkern,
-                                        thread_scratch(tid), bt, clip,
+                                        kernels, *sc, bt, plan.clip,
                                         on_table);
           }
         }

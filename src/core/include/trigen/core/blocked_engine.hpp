@@ -7,29 +7,44 @@
 /// B_S SNPs).  For one block tuple it holds the frequency tables of all
 /// <= B_S^k contained SNP combinations in an L1-resident array, and streams
 /// the sample dimension in B_P-word chunks, so every loaded cache line is
-/// reused by up to B_S^{k-1} combinations before eviction.  This is the
-/// paper's V3; selecting a vector kernel turns it into V4.
+/// reused by up to B_S^{k-1} combinations before eviction.
 ///
-/// V5 goes one step further with a recursive *prefix-plane ladder*: all B_S
-/// last-axis SNPs of a block tuple share the same length-(k-1) prefix, so
-/// the ladder materializes, once per (prefix, sample-chunk), the 3^j
-/// intersection planes of each j-SNP prefix (rung j, j = 2..k-1).  Rung 2
-/// is built directly from two SNPs' genotype planes; rung j+1 extends rung
-/// j by ANDing each plane with one SNP's two stored planes and deriving the
-/// third child from the partition identity (the three genotype planes of a
-/// SNP partition every sample bit, padding included).  The last rung's
-/// planes and popcounts then resolve all three final-axis cells with two
-/// ANDs + two POPCNTs per word.  At k = 3 the ladder is exactly the nine
-/// x∩y planes of the original pair-plane cache; at k = 2 it degenerates to
-/// the counts-only kernel (the chunk popcounts *are* the 9-cell table).
+/// Each rung kind is one walk, written once for every order: a clipped
+/// function template whose axis walk (`engine_detail::walk_axes`) recurses
+/// over a compile-time axis index, so order k compiles to a k-deep loop
+/// nest with the order's hand-tuned kernel at the leaf (`EngineKernels`):
 ///
-/// The block-tuple rank math and the rank-range -> block-tuple mapping live
-/// in trigen/combinatorics/block_partition.hpp; the names are re-exported
-/// here for the engine's callers.
+///  * `scan_block_tuple` (V3, V4): the direct leaf kernel evaluates each
+///    combination from its k SNPs' genotype planes.  V3 is this walk with
+///    the scalar kernels; selecting a vector kernel turns it into V4.
+///  * `scan_block_tuple_ladder` (V5): the walk builds a recursive
+///    *prefix-plane ladder* on its way down.  All B_S last-axis SNPs of a
+///    block tuple share the same length-(k-1) prefix, so the ladder
+///    materializes, once per (prefix, sample-chunk), the 3^j intersection
+///    planes of each j-SNP prefix (rung j, j = 2..k-1).  Rung 2 is built
+///    directly from two SNPs' genotype planes; rung j+1 extends rung j by
+///    ANDing each plane with one SNP's two stored planes and deriving the
+///    third child from the partition identity (the three genotype planes
+///    of a SNP partition every sample bit, padding included).  The last
+///    rung's planes and popcounts then resolve all three final-axis cells
+///    with two ANDs + two POPCNTs per word.  At k = 2 there is no rung and
+///    the ladder is the direct walk.
+///  * `scan_block_tuple_batched` (k >= 3) and `scan_block_pair_batched`
+///    (k = 2): the ladder walk over phenotype-agnostic planes, scoring
+///    every partition of a phenotype batch in one pass.
+///
+/// All walks share one prologue (`engine_detail::block_bounds`: the block
+/// tuple's axis bounds and its rank clip).  The block-tuple rank math and
+/// the rank-range -> block-tuple mapping live in
+/// trigen/combinatorics/block_partition.hpp; the names are re-exported here
+/// for the engine's callers.
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "trigen/combinatorics/block_partition.hpp"
@@ -42,17 +57,9 @@
 
 namespace trigen::core {
 
-using combinatorics::BlockPair;
-using combinatorics::BlockTriple;
 using combinatorics::BlockTuple;
-using combinatorics::num_block_pairs;
-using combinatorics::num_block_triples;
 using combinatorics::num_block_tuples;
-using combinatorics::rank_block_pair;
-using combinatorics::rank_block_triple;
 using combinatorics::rank_block_tuple;
-using combinatorics::unrank_block_pair;
-using combinatorics::unrank_block_triple;
 using combinatorics::unrank_block_tuple;
 
 /// Clip sentinel: covers every possible rank, i.e. "no filtering".
@@ -64,8 +71,8 @@ inline constexpr combinatorics::RankRange kFullRange{
 /// prefix restricted to the current sample chunk, plus their chunk
 /// popcounts.  Planes share one stride rounded up to a whole number of
 /// AVX-512 registers, so every plane start stays 64-byte aligned
-/// (aligned_vector provides the base alignment).  At order 3 the ladder is
-/// the original pair-plane cache: rung 2's nine x∩y planes and popcounts.
+/// (aligned_vector provides the base alignment).  Rung 2 holds the nine
+/// x∩y planes of a SNP pair.
 class PrefixPlaneCache {
  public:
   /// Grows the ladder to cover rungs 2..order-1 with at least `words` of
@@ -82,8 +89,6 @@ class PrefixPlaneCache {
     planes_.assign(planes * stride_, 0);
     pops_.assign(planes, 0);
   }
-  /// Pair-plane compatibility surface: rung 2 only (order 3).
-  void ensure(std::size_t words) { ensure(3, words); }
 
   /// Planes of rung `j` (3^j planes of stride() words each).
   Word* rung(unsigned j) { return planes_.data() + rung_offset(j) * stride_; }
@@ -96,13 +101,6 @@ class PrefixPlaneCache {
   const std::uint32_t* rung_pops(unsigned j) const {
     return pops_.data() + rung_offset(j);
   }
-
-  /// Rung-2 accessors, the original PairPlaneCache API: the nine x∩y
-  /// planes and their chunk popcounts.
-  Word* planes() { return rung(2); }
-  const Word* planes() const { return rung(2); }
-  std::uint32_t* pops() { return rung_pops(2); }
-  const std::uint32_t* pops() const { return rung_pops(2); }
 
   std::size_t stride() const { return stride_; }
 
@@ -120,8 +118,90 @@ class PrefixPlaneCache {
   std::vector<std::uint32_t> pops_;
 };
 
-/// The K = 3 ladder (rung 2 alone) is the original pair-plane cache.
-using PairPlaneCache = PrefixPlaneCache;
+/// The order -> leaf-kernel mapping of the blocked walks, for one
+/// vectorization strategy.  Every order keeps its hand-tuned kernels at
+/// the leaf:
+///
+///  * K = 2: the counts-only pair kernel (the chunk popcounts of the nine
+///    x∩y intersections are the pair table), for every rung;
+///  * K = 3: the per-ISA triple-block kernel (direct) and the per-ISA
+///    cached kernel over the ladder's rung 2 (V5 final rung), so the order
+///    the paper measures keeps its AVX-512 variants on the hot path;
+///  * K >= 4: the order-generic kernels (direct tuple kernel; ladder
+///    extension and final rung).
+///
+/// The ladder's rung 2 is always built by the per-ISA pair-plane build
+/// kernel; the batched engines add the batch kernels.
+struct EngineKernels {
+  TripleBlockKernel triple = nullptr;
+  CachedKernelSet cached;
+  GenericKernelSet generic;
+  BatchKernelSet batch;
+
+  /// Every family for `isa`; throws std::runtime_error if unavailable.
+  static EngineKernels of(KernelIsa isa) {
+    return {get_kernel(isa), get_cached_kernels(isa),
+            get_generic_kernels(isa), get_batch_kernels(isa)};
+  }
+
+  /// Direct leaf: adds the 3^K cells of one class of the combination whose
+  /// j-th SNP has class planes (g0[j], g1[j]), over words [w0, w1), into
+  /// `ft` (cell = sum g_j * 3^(K-1-j)).
+  template <unsigned K>
+  void direct(const std::array<const Word*, K>& g0,
+              const std::array<const Word*, K>& g1, std::size_t w0,
+              std::size_t w1, std::uint32_t* ft) const {
+    if constexpr (K == 2) {
+      cached.count(g0[0], g1[0], g0[1], g1[1], w0, w1, ft);
+    } else if constexpr (K == 3) {
+      triple(g0[0], g1[0], g0[1], g1[1], g0[2], g1[2], w0, w1, ft);
+    } else {
+      generic.direct(g0.data(), g1.data(), K, w0, w1, ft);
+    }
+  }
+
+  /// Ladder final rung: adds the 3^K cells of one class from the planes
+  /// and popcounts of the (K-1)-SNP prefix held in `cache`'s last rung plus
+  /// the last SNP's planes z0/z1, over words [w0, w1), into `ft`.
+  template <unsigned K>
+  void final_rung(const PrefixPlaneCache& cache, const Word* z0,
+                  const Word* z1, std::size_t w0, std::size_t w1,
+                  std::uint32_t* ft) const {
+    static_assert(K >= 3, "the ladder needs a length-2 prefix");
+    if constexpr (K == 3) {
+      cached.cached(cache.rung(2), cache.stride(), cache.rung_pops(2), z0, z1,
+                    w0, w1, ft);
+    } else {
+      generic.finalize(cache.rung(K - 1), pow3(K - 1), cache.stride(),
+                       cache.rung_pops(K - 1), z0, z1, w0, w1, ft);
+    }
+  }
+
+  /// Ladder rung 2: the nine x∩y planes of a SNP pair over words
+  /// [w0, w1), with their chunk popcounts.
+  void build_rung2(PrefixPlaneCache& cache, const Word* x0, const Word* x1,
+                   const Word* y0, const Word* y1, std::size_t w0,
+                   std::size_t w1) const {
+    std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
+    cached.build(x0, x1, y0, y1, w0, w1, cache.rung(2), cache.stride(),
+                 cache.rung_pops(2));
+  }
+
+  /// Ladder rung j+1 from rung j and one more SNP's planes s0/s1.  Only the
+  /// last rung's popcounts feed a final kernel, so intermediate rungs
+  /// (`last` false) skip the POPCNT work.
+  void extend_rung(PrefixPlaneCache& cache, unsigned j, const Word* s0,
+                   const Word* s1, std::size_t w0, std::size_t w1,
+                   bool last) const {
+    std::uint32_t* pops = nullptr;
+    if (last) {
+      pops = cache.rung_pops(j + 1);
+      std::fill(pops, pops + pow3(j + 1), 0u);
+    }
+    generic.extend(cache.rung(j), pow3(j), cache.stride(), s0, s1, w0, w1,
+                   cache.rung(j + 1), cache.stride(), pops);
+  }
+};
 
 /// Per-thread scratch: frequency tables for all combinations of a block
 /// tuple.  Layout: [local][class][3^K] uint32; local =
@@ -131,25 +211,20 @@ class TupleBlockScratch {
  public:
   static constexpr std::size_t kCells = scoring::num_cells(K);
 
-  explicit TupleBlockScratch(std::size_t bs)
-      : bs_(bs), ft_(locals(bs) * 2 * kCells) {}
+  explicit TupleBlockScratch(std::size_t bs) : ft_(locals(bs) * 2 * kCells) {}
 
-  std::size_t bs() const { return bs_; }
   std::uint32_t* table(std::size_t local, int cls) {
     return ft_.data() + (local * 2 + static_cast<std::size_t>(cls)) * kCells;
   }
-  /// Zeroes only the tables (both classes) of locals [first, last) — the
-  /// engine clears exactly the combinations a block tuple evaluates, so
-  /// tail and diagonal blocks skip the untouched bulk of the bs^K array.
-  void clear_tables(std::size_t first, std::size_t last) {
-    std::fill(ft_.begin() + static_cast<std::ptrdiff_t>(first * 2 * kCells),
-              ft_.begin() + static_cast<std::ptrdiff_t>(last * 2 * kCells),
-              0u);
+  /// Zeroes both class tables of `local`: the engine clears exactly the
+  /// combinations a block tuple evaluates, so tail and diagonal blocks skip
+  /// the untouched bulk of the bs^K array.
+  void clear_table(std::size_t local) {
+    std::fill_n(ft_.begin() + static_cast<std::ptrdiff_t>(local * 2 * kCells),
+                2 * kCells, 0u);
   }
   /// V5 prefix-plane ladder (unused and unallocated for V3/V4 scans).
   PrefixPlaneCache& prefix_cache() { return cache_; }
-  /// Historical name for the K = 3 ladder.
-  PairPlaneCache& pair_cache() { return cache_; }
 
  private:
   static std::size_t locals(std::size_t bs) {
@@ -158,139 +233,164 @@ class TupleBlockScratch {
     return v;
   }
 
-  std::size_t bs_;
   std::vector<std::uint32_t> ft_;
   PrefixPlaneCache cache_;
 };
 
-/// Triplet scratch: bs^3 tables of 27 cells.
-using BlockScratch = TupleBlockScratch<3>;
-/// Pair scratch: bs^2 tables of 9 cells.
-using PairBlockScratch = TupleBlockScratch<2>;
-
 namespace engine_detail {
 
-/// Shared skeleton of the blocked scan at any order: block bounds,
-/// three-tier rank clipping, targeted scratch clear and table emission.
-/// `accumulate(base, end)` fills the scratch tables for all in-block
-/// combinations; the direct-kernel (V3/V4) and ladder (V5) engines differ
-/// only there.  `on_table(const Combination<K>&, const
-/// BasicContingencyTable<K>&)` receives each emitted combination.
-template <unsigned K, typename Accumulate, typename OnTable>
-void scan_block_tuple_impl(const dataset::PhenoSplitPlanes& planes,
-                           const TilingParams& tiling,
-                           TupleBlockScratch<K>& scratch,
-                           const BlockTuple<K>& bt,
-                           const combinatorics::RankRange& clip,
-                           Accumulate&& accumulate, OnTable&& on_table) {
-  static_assert(K >= 2 && K <= combinatorics::kMaxOrder);
-  const std::size_t bs = tiling.bs;
-  const std::size_t m = planes.num_snps();
-  std::array<std::size_t, K> base;
-  std::array<std::size_t, K> end;
-  for (unsigned j = 0; j < K; ++j) {
-    base[j] = bt[j] * bs;
-    if (base[j] >= m) return;
-    end[j] = std::min(base[j] + bs, m);
+/// Axis bounds of one block tuple: axis j spans SNPs [base[j], end[j]).
+template <unsigned K>
+struct BlockBounds {
+  std::size_t bs = 0;
+  std::array<std::size_t, K> base{};
+  std::array<std::size_t, K> end{};
+  /// Set on a partition's boundary blocks, whose span straddles the clip:
+  /// only they filter each emission by rank.
+  bool filter = false;
+
+  /// First index of axis j that follows index `prev` of axis j-1.
+  std::size_t first(unsigned j, std::size_t prev) const {
+    return j == 0 ? base[0] : std::max(base[j], prev + 1);
   }
 
-  bool filter = false;
+  /// True when index `i` of axis `j` still admits a strictly increasing
+  /// completion through axes j+1..K-1 (the axis bounds are monotone, so the
+  /// greedy chain is the only candidate).
+  bool has_completion(unsigned j, std::size_t i) const {
+    for (unsigned l = j + 1; l < K; ++l) {
+      i = std::max(base[l], i + 1);
+      if (i >= end[l]) return false;
+    }
+    return true;
+  }
+
+  /// True when `comb` (a combination of this block tuple) lies in `clip`.
+  bool emits(const combinatorics::Combination<K>& comb,
+             const combinatorics::RankRange& clip) const {
+    if (!filter) return true;
+    const std::uint64_t rank = combinatorics::rank_combination<K>(comb);
+    return rank >= clip.first && rank < clip.last;
+  }
+};
+
+/// The prologue every walk shares: the axis bounds of block tuple `bt` on
+/// a grid of `num_snps` SNPs in blocks of `bs`, and the three-tier rank
+/// clip.  Returns nullopt when the block tuple emits nothing: it lies past
+/// the last SNP, or its rank span misses `clip` (before any kernel work).
+/// A block tuple fully inside `clip` runs with zero per-combination
+/// overhead; only a straddling one sets `filter`.
+template <unsigned K>
+std::optional<BlockBounds<K>> block_bounds(
+    std::size_t num_snps, std::size_t bs, const BlockTuple<K>& bt,
+    const combinatorics::RankRange& clip) {
+  static_assert(K >= 2 && K <= combinatorics::kMaxOrder);
+  BlockBounds<K> b;
+  b.bs = bs;
+  for (unsigned j = 0; j < K; ++j) {
+    b.base[j] = bt[j] * bs;
+    if (b.base[j] >= num_snps) return std::nullopt;
+    b.end[j] = std::min(b.base[j] + bs, num_snps);
+  }
   if (clip.first != kFullRange.first || clip.last != kFullRange.last) {
     const combinatorics::RankRange span = combinatorics::block_tuple_span<K>(
-        combinatorics::BlockGrid{m, bs}, bt);
+        combinatorics::BlockGrid{num_snps, bs}, bt);
     if (span.empty() || span.last <= clip.first || span.first >= clip.last) {
-      return;  // no combination of this block tuple is in range
+      return std::nullopt;
     }
-    filter = span.first < clip.first || span.last > clip.last;
+    b.filter = span.first < clip.first || span.last > clip.last;
   }
+  return b;
+}
 
-  // Clear only the tables this block tuple accumulates into: tail blocks
-  // cover fewer than bs SNPs per axis and diagonal blocks only the strictly
-  // increasing locals, so a full bs^K clear would zero (and finalize would
-  // skip) mostly untouched memory.  The last axis of every valid prefix is
-  // a contiguous local run.
-  {
-    const auto walk = [&](const auto& self, unsigned j, std::size_t prev,
-                          std::size_t local) -> void {
-      if (j == K - 1) {
-        const std::size_t z_first = std::max(base[j], prev + 1);
-        if (z_first >= end[j]) return;
-        const std::size_t lo = local * bs + (z_first - base[j]);
-        scratch.clear_tables(lo, lo + (end[j] - z_first));
-        return;
-      }
-      const std::size_t first =
-          j == 0 ? base[0] : std::max(base[j], prev + 1);
-      for (std::size_t i = first; i < end[j]; ++i) {
-        self(self, j + 1, i, local * bs + (i - base[j]));
-      }
-    };
-    walk(walk, 0, 0, 0);
-  }
+/// Compile-time axis index handed to walk visitors.
+template <unsigned J>
+using Axis = std::integral_constant<unsigned, J>;
 
-  accumulate(base, end);
-
-  // Finalize: fold the NOR padding out of the all-genotype-2 cell and emit
-  // tables.
-  {
-    combinatorics::Combination<K> comb{};
-    const auto walk = [&](const auto& self, unsigned j, std::size_t prev,
-                          std::size_t local) -> void {
-      if (j == K) {
-        if (filter) {
-          const std::uint64_t rank = combinatorics::rank_combination<K>(comb);
-          if (rank < clip.first || rank >= clip.last) return;
-        }
-        scoring::BasicContingencyTable<K> t;
-        for (int c = 0; c < 2; ++c) {
-          const std::uint32_t* ft = scratch.table(local, c);
-          auto& row = t.counts[static_cast<std::size_t>(c)];
-          for (std::size_t i = 0; i < TupleBlockScratch<K>::kCells; ++i) {
-            row[i] = ft[i];
-          }
-          // NOR padding shows up as phantom all-genotype-2 observations.
-          row[TupleBlockScratch<K>::kCells - 1] -=
-              static_cast<std::uint32_t>(planes.pad_bits(c));
-        }
-        on_table(static_cast<const combinatorics::Combination<K>&>(comb), t);
-        return;
-      }
-      const std::size_t first =
-          j == 0 ? base[0] : std::max(base[j], prev + 1);
-      for (std::size_t i = first; i < end[j]; ++i) {
-        comb[j] = static_cast<std::uint32_t>(i);
-        self(self, j + 1, i, local * bs + (i - base[j]));
-      }
-    };
-    walk(walk, 0, 0, 0);
+/// Walks axes J..N-1 (N <= K) of block tuple `b` in Algorithm 1 loop order:
+/// for every index i of axis J that follows `prev` and still admits a
+/// completion through axis K-1, calls `visit(Axis<J>{}, i, local)` and then
+/// descends, where `local` = sum over axes j <= J of
+/// (i_j - base_j) * bs^(J-j).  At N = K the deepest visit is the
+/// combination's leaf and `local` indexes its scratch table.
+template <unsigned N, unsigned J = 0, unsigned K, typename Visit>
+void walk_axes(const BlockBounds<K>& b, std::size_t prev, std::size_t local,
+               Visit& visit) {
+  static_assert(J < N && N <= K);
+  for (std::size_t i = b.first(J, prev); i < b.end[J]; ++i) {
+    if constexpr (J + 1 < K) {
+      // Completions only get scarcer as i grows: the subtree is dead, and
+      // so are all later ones.
+      if (!b.has_completion(J, i)) break;
+    }
+    const std::size_t l = local * b.bs + (i - b.base[J]);
+    visit(Axis<J>{}, i, l);
+    if constexpr (J + 1 < N) walk_axes<N, J + 1>(b, i, l, visit);
   }
 }
 
-/// True when an index `i` chosen for axis `j` still admits a strictly
-/// increasing completion through axes j+1..K-1 (the axis bounds are
-/// monotone, so the greedy chain is the only candidate).
-template <unsigned K>
-bool has_completion(const std::array<std::size_t, K>& base,
-                    const std::array<std::size_t, K>& end, unsigned j,
-                    std::size_t i) {
-  std::size_t p = i;
-  for (unsigned l = j + 1; l < K; ++l) {
-    p = std::max(base[l], p + 1);
-    if (p >= end[l]) return false;
+/// Shared skeleton of the sequential walks: prologue, targeted scratch
+/// clear, the class x sample-chunk loop around `accumulate(bounds, class,
+/// w0, w1)` (which fills the scratch tables of every in-block combination
+/// for that chunk), and table emission.  `on_table(const Combination<K>&,
+/// const BasicContingencyTable<K>&)` receives each emitted combination.
+template <unsigned K, typename Accumulate, typename OnTable>
+void sequential_walk(const dataset::PhenoSplitPlanes& planes,
+                     const TilingParams& tiling,
+                     TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
+                     const combinatorics::RankRange& clip,
+                     Accumulate&& accumulate, OnTable&& on_table) {
+  const auto bounds = block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
+  if (!bounds) return;
+  const BlockBounds<K>& b = *bounds;
+
+  auto clear = [&](auto axis, std::size_t, std::size_t local) {
+    if constexpr (decltype(axis)::value + 1 == K) scratch.clear_table(local);
+  };
+  walk_axes<K>(b, 0, 0, clear);
+
+  // Sample-blocked accumulation: for each class, stream B_P words at a
+  // time through all combinations of the block tuple.
+  for (int c = 0; c < 2; ++c) {
+    const std::size_t words = planes.words(c);
+    for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+      accumulate(b, c, w0, std::min(w0 + tiling.bp_words, words));
+    }
   }
-  return true;
+
+  // Finalize: fold the NOR padding out of the all-genotype-2 cell and emit
+  // tables.
+  combinatorics::Combination<K> comb{};
+  auto emit = [&](auto axis, std::size_t i, std::size_t local) {
+    constexpr unsigned j = decltype(axis)::value;
+    comb[j] = static_cast<std::uint32_t>(i);
+    if constexpr (j + 1 == K) {
+      if (!b.emits(comb, clip)) return;
+      scoring::BasicContingencyTable<K> t;
+      for (int c = 0; c < 2; ++c) {
+        const std::uint32_t* ft = scratch.table(local, c);
+        auto& row = t.counts[static_cast<std::size_t>(c)];
+        std::copy_n(ft, row.size(), row.begin());
+        // NOR padding shows up as phantom all-genotype-2 observations.
+        row.back() -= static_cast<std::uint32_t>(planes.pad_bits(c));
+      }
+      on_table(std::as_const(comb), std::as_const(t));
+    }
+  };
+  walk_axes<K>(b, 0, 0, emit);
 }
 
 }  // namespace engine_detail
 
 // ---------------------------------------------------------------------------
-// Order-generic entry points
+// Sequential walks
 // ---------------------------------------------------------------------------
 
-/// Evaluates every order-K SNP combination inside block tuple `bt` whose
-/// colex rank lies in `clip` and calls `on_table(const Combination<K>&,
-/// const BasicContingencyTable<K>&)` for each, using the direct (V3/V4)
-/// order-generic kernel.  `scratch.bs()` must equal `tiling.bs`.
+/// V3/V4: evaluates every order-K SNP combination inside block tuple `bt`
+/// whose colex rank lies in `clip` through the order's direct leaf kernel
+/// (see EngineKernels) and calls `on_table(const Combination<K>&, const
+/// BasicContingencyTable<K>&)` for each.  `scratch` must be built for
+/// `tiling.bs`.
 ///
 /// Clipping is rank-aware in three tiers: a block tuple whose span misses
 /// `clip` entirely returns before any kernel work; a block tuple fully
@@ -300,346 +400,85 @@ bool has_completion(const std::array<std::size_t, K>& base,
 template <unsigned K, typename OnTable>
 void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       const TilingParams& tiling,
-                      const GenericKernelSet& kernels,
+                      const EngineKernels& kernels,
                       TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
                       const combinatorics::RankRange& clip,
                       OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  engine_detail::scan_block_tuple_impl<K>(
+  engine_detail::sequential_walk<K>(
       planes, tiling, scratch, bt, clip,
-      [&](const std::array<std::size_t, K>& base,
-          const std::array<std::size_t, K>& end) {
-        // Sample-blocked accumulation: for each class, stream B_P words at
-        // a time through all combinations of the block tuple (Algorithm 1
-        // loop order, generalized to K axes).
-        std::array<const Word*, K> g0;
-        std::array<const Word*, K> g1;
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            const auto walk = [&](const auto& self, unsigned j,
-                                  std::size_t prev,
-                                  std::size_t local) -> void {
-              if (j == K) {
-                kernels.direct(g0.data(), g1.data(), K, w0, w1,
-                               scratch.table(local, c));
-                return;
-              }
-              const std::size_t first =
-                  j == 0 ? base[0] : std::max(base[j], prev + 1);
-              for (std::size_t i = first; i < end[j]; ++i) {
-                g0[j] = planes.plane(c, i, 0);
-                g1[j] = planes.plane(c, i, 1);
-                self(self, j + 1, i, local * bs + (i - base[j]));
-              }
-            };
-            walk(walk, 0, 0, 0);
+      [&](const engine_detail::BlockBounds<K>& b, int c, std::size_t w0,
+          std::size_t w1) {
+        std::array<const Word*, K> g0{};
+        std::array<const Word*, K> g1{};
+        auto visit = [&](auto axis, std::size_t i, std::size_t local) {
+          constexpr unsigned j = decltype(axis)::value;
+          g0[j] = planes.plane(c, i, 0);
+          g1[j] = planes.plane(c, i, 1);
+          if constexpr (j + 1 == K) {
+            kernels.direct<K>(g0, g1, w0, w1, scratch.table(local, c));
           }
-        }
+        };
+        engine_detail::walk_axes<K>(b, 0, 0, visit);
       },
       static_cast<OnTable&&>(on_table));
 }
 
-/// Unclipped direct scan: every combination of the block tuple is emitted.
-template <unsigned K, typename OnTable>
-void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
-                      const TilingParams& tiling,
-                      const GenericKernelSet& kernels,
-                      TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                      OnTable&& on_table) {
-  scan_block_tuple<K>(planes, tiling, kernels, scratch, bt, kFullRange,
-                      static_cast<OnTable&&>(on_table));
-}
-
-/// V5 at any order K >= 3: the recursive prefix-plane ladder.  Rung 2 (the
-/// 3^2 planes of the two leading SNPs) is built once per (prefix,
-/// sample-chunk) by the per-ISA build kernel; each deeper rung j+1 extends
-/// rung j by one SNP (two ANDs per plane, third child by the partition
-/// identity); the last rung's planes and popcounts resolve all final-axis
-/// cells with the two-operand finalize kernel — the prefix streams leave
-/// the innermost loop entirely, and no genotype-2 plane of any prefix SNP
-/// is ever materialized.  Bit-identical to the direct kernels for every
+/// V5: the same walk as scan_block_tuple, building the prefix-plane ladder
+/// on its way down.  Rung 2 (the nine planes of the two leading SNPs) is
+/// built once per (prefix, sample-chunk); each deeper rung j+1 extends rung
+/// j by one SNP; the last rung's planes and popcounts resolve all
+/// final-axis cells through the order's final-rung kernel — the prefix
+/// streams leave the innermost loop entirely, and no genotype-2 plane of
+/// any prefix SNP is ever materialized.  At K = 2 there is no rung and
+/// this is scan_block_tuple.  Bit-identical to the direct walk for every
 /// clip.
 template <unsigned K, typename OnTable>
-void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
-                      const TilingParams& tiling,
-                      const CachedKernelSet& cached,
-                      const GenericKernelSet& generic,
-                      TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                      const combinatorics::RankRange& clip,
-                      OnTable&& on_table) {
-  static_assert(K >= 3, "the prefix-plane ladder needs a length-2 prefix; "
-                        "use the counts-only pair path for K == 2");
-  const std::size_t bs = tiling.bs;
-  PrefixPlaneCache& cache = scratch.prefix_cache();
-  cache.ensure(K, tiling.bp_words);
-  engine_detail::scan_block_tuple_impl<K>(
-      planes, tiling, scratch, bt, clip,
-      [&](const std::array<std::size_t, K>& base,
-          const std::array<std::size_t, K>& end) {
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            // walk(j, prev, local): indices for axes < j are chosen and
-            // rung j (if j >= 2) holds the planes of that prefix.
-            const auto walk = [&](const auto& self, unsigned j,
-                                  std::size_t prev,
-                                  std::size_t local) -> void {
-              if (j == K - 1) {
-                const std::size_t count = pow3(j);
-                for (std::size_t i = std::max(base[j], prev + 1); i < end[j];
-                     ++i) {
-                  generic.finalize(cache.rung(j), count, cache.stride(),
-                                   cache.rung_pops(j), planes.plane(c, i, 0),
-                                   planes.plane(c, i, 1), w0, w1,
-                                   scratch.table(local * bs + (i - base[j]),
-                                                 c));
-                }
-                return;
-              }
-              const std::size_t first =
-                  j == 0 ? base[0] : std::max(base[j], prev + 1);
-              for (std::size_t i = first; i < end[j]; ++i) {
-                if (!engine_detail::has_completion<K>(base, end, j, i)) {
-                  continue;  // dead subtree: don't build planes nobody reads
-                }
-                if (j == 1) {
-                  std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-                  cached.build(planes.plane(c, prev, 0),
-                               planes.plane(c, prev, 1),
-                               planes.plane(c, i, 0), planes.plane(c, i, 1),
-                               w0, w1, cache.rung(2), cache.stride(),
-                               cache.rung_pops(2));
-                } else if (j >= 2) {
-                  // Only the last rung's popcounts feed the finalize
-                  // kernel; intermediate rungs skip the POPCNT work.
-                  std::uint32_t* pops = nullptr;
-                  if (j + 1 == K - 1) {
-                    pops = cache.rung_pops(j + 1);
-                    std::fill(pops, pops + pow3(j + 1), 0u);
-                  }
-                  generic.extend(cache.rung(j), pow3(j), cache.stride(),
-                                 planes.plane(c, i, 0), planes.plane(c, i, 1),
-                                 w0, w1, cache.rung(j + 1), cache.stride(),
-                                 pops);
-                }
-                self(self, j + 1, i, local * bs + (i - base[j]));
-              }
-            };
-            walk(walk, 0, 0, 0);
-          }
-        }
-      },
-      static_cast<OnTable&&>(on_table));
-}
-
-/// Unclipped ladder scan: every combination of the block tuple is emitted.
-template <unsigned K, typename OnTable>
-void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
-                      const TilingParams& tiling,
-                      const CachedKernelSet& cached,
-                      const GenericKernelSet& generic,
-                      TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                      OnTable&& on_table) {
-  scan_block_tuple<K>(planes, tiling, cached, generic, scratch, bt,
-                      kFullRange, static_cast<OnTable&&>(on_table));
-}
-
-// ---------------------------------------------------------------------------
-// Third order: the per-ISA triplet instantiation
-// ---------------------------------------------------------------------------
-
-/// Evaluates every SNP triplet inside block triple `bt` whose colex rank
-/// lies in `clip` and calls `on_table(Triplet, const ContingencyTable&)`
-/// for each.  `kernel` is the per-ISA triple-block kernel; `scratch.bs()`
-/// must equal `tiling.bs`.  This is the K = 3 instantiation of the generic
-/// engine skeleton, keeping the hand-tuned three-operand kernels (including
-/// their AVX-512 variants) on the hot path.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling, TripleBlockKernel kernel,
-                       BlockScratch& scratch, const BlockTriple& bt,
-                       const combinatorics::RankRange& clip,
-                       OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  engine_detail::scan_block_tuple_impl<3>(
-      planes, tiling, scratch, BlockTuple<3>{bt.b0, bt.b1, bt.b2}, clip,
-      [&](const std::array<std::size_t, 3>& base,
-          const std::array<std::size_t, 3>& end) {
-        // Sample-blocked accumulation: for each class, stream B_P words at
-        // a time through all triplets of the block triple (Algorithm 1
-        // loop order).
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-              for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1];
-                   ++i1) {
-                for (std::size_t i2 = std::max(base[2], i1 + 1); i2 < end[2];
-                     ++i2) {
-                  const std::size_t local =
-                      ((i0 - base[0]) * bs + (i1 - base[1])) * bs +
-                      (i2 - base[2]);
-                  kernel(planes.plane(c, i0, 0), planes.plane(c, i0, 1),
-                         planes.plane(c, i1, 0), planes.plane(c, i1, 1),
-                         planes.plane(c, i2, 0), planes.plane(c, i2, 1), w0,
-                         w1, scratch.table(local, c));
-                }
-              }
+void scan_block_tuple_ladder(const dataset::PhenoSplitPlanes& planes,
+                             const TilingParams& tiling,
+                             const EngineKernels& kernels,
+                             TupleBlockScratch<K>& scratch,
+                             const BlockTuple<K>& bt,
+                             const combinatorics::RankRange& clip,
+                             OnTable&& on_table) {
+  if constexpr (K == 2) {
+    scan_block_tuple<K>(planes, tiling, kernels, scratch, bt, clip,
+                        static_cast<OnTable&&>(on_table));
+  } else {
+    PrefixPlaneCache& cache = scratch.prefix_cache();
+    cache.ensure(K, tiling.bp_words);
+    engine_detail::sequential_walk<K>(
+        planes, tiling, scratch, bt, clip,
+        [&](const engine_detail::BlockBounds<K>& b, int c, std::size_t w0,
+            std::size_t w1) {
+          const Word* x0 = nullptr;
+          const Word* x1 = nullptr;
+          auto visit = [&](auto axis, std::size_t i, std::size_t local) {
+            constexpr unsigned j = decltype(axis)::value;
+            const Word* s0 = planes.plane(c, i, 0);
+            const Word* s1 = planes.plane(c, i, 1);
+            if constexpr (j == 0) {
+              x0 = s0;
+              x1 = s1;
+            } else if constexpr (j == 1) {
+              kernels.build_rung2(cache, x0, x1, s0, s1, w0, w1);
+            } else if constexpr (j + 1 < K) {
+              kernels.extend_rung(cache, j, s0, s1, w0, w1, j + 2 == K);
+            } else {
+              kernels.final_rung<K>(cache, s0, s1, w0, w1,
+                                    scratch.table(local, c));
             }
-          }
-        }
-      },
-      [&](const combinatorics::Combination<3>& c,
-          const scoring::ContingencyTable& t) {
-        on_table(combinatorics::Triplet{c[0], c[1], c[2]}, t);
-      });
-}
-
-/// Unclipped scan: every triplet of the block triple is emitted.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling, TripleBlockKernel kernel,
-                       BlockScratch& scratch, const BlockTriple& bt,
-                       OnTable&& on_table) {
-  scan_block_triple(planes, tiling, kernel, scratch, bt, kFullRange,
-                    static_cast<OnTable&&>(on_table));
-}
-
-/// V5 at order 3: same walk as above, but the x∩y planes of each (i0, i1)
-/// are built once per sample chunk into the ladder's rung 2 and the z loop
-/// runs the two-operand cached kernel — the x/y plane streams and their
-/// nine intersection ANDs leave the innermost loop entirely, and the z-NOR
-/// plane is never materialized (cells (gx, gy, 2) derive from the cached
-/// chunk popcounts).  Bit-identical to the direct kernels for every clip.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling,
-                       const CachedKernelSet& kernels, BlockScratch& scratch,
-                       const BlockTriple& bt,
-                       const combinatorics::RankRange& clip,
-                       OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  PairPlaneCache& cache = scratch.pair_cache();
-  cache.ensure(tiling.bp_words);
-  engine_detail::scan_block_tuple_impl<3>(
-      planes, tiling, scratch, BlockTuple<3>{bt.b0, bt.b1, bt.b2}, clip,
-      [&](const std::array<std::size_t, 3>& base,
-          const std::array<std::size_t, 3>& end) {
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-              for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1];
-                   ++i1) {
-                const std::size_t z_first = std::max(base[2], i1 + 1);
-                if (z_first >= end[2]) continue;
-                std::fill(cache.pops(), cache.pops() + 9, 0u);
-                kernels.build(planes.plane(c, i0, 0), planes.plane(c, i0, 1),
-                              planes.plane(c, i1, 0), planes.plane(c, i1, 1),
-                              w0, w1, cache.planes(), cache.stride(),
-                              cache.pops());
-                for (std::size_t i2 = z_first; i2 < end[2]; ++i2) {
-                  const std::size_t local =
-                      ((i0 - base[0]) * bs + (i1 - base[1])) * bs +
-                      (i2 - base[2]);
-                  kernels.cached(cache.planes(), cache.stride(), cache.pops(),
-                                 planes.plane(c, i2, 0),
-                                 planes.plane(c, i2, 1), w0, w1,
-                                 scratch.table(local, c));
-                }
-              }
-            }
-          }
-        }
-      },
-      [&](const combinatorics::Combination<3>& c,
-          const scoring::ContingencyTable& t) {
-        on_table(combinatorics::Triplet{c[0], c[1], c[2]}, t);
-      });
-}
-
-/// Unclipped V5 scan: every triplet of the block triple is emitted.
-template <typename OnTable>
-void scan_block_triple(const dataset::PhenoSplitPlanes& planes,
-                       const TilingParams& tiling,
-                       const CachedKernelSet& kernels, BlockScratch& scratch,
-                       const BlockTriple& bt, OnTable&& on_table) {
-  scan_block_triple(planes, tiling, kernels, scratch, bt, kFullRange,
-                    static_cast<OnTable&&>(on_table));
+          };
+          engine_detail::walk_axes<K>(b, 0, 0, visit);
+        },
+        static_cast<OnTable&&>(on_table));
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Second order: the counts-only pair instantiation
+// Batched multi-phenotype walks
 // ---------------------------------------------------------------------------
 
-/// Evaluates every SNP pair inside block pair `bp` whose colex rank lies in
-/// `clip` and calls `on_table(combinatorics::Pair, const
-/// scoring::PairContingencyTable&)` for each.  The counts phase *is* the
-/// whole evaluation: the chunk popcounts of the nine x∩y intersections are
-/// exactly the pair table cells restricted to this chunk — no third
-/// operand, no 27-cell sweep, and no materialized planes (the counts-only
-/// kernel retires zero stores and needs no L1 cache budget).  This is the
-/// K = 2 instantiation of the generic engine skeleton, shared by V3 (scalar
-/// kernel), V4 and V5 (identical here — the ladder has no rungs below
-/// order 3).
-template <typename OnTable>
-void scan_block_pair(const dataset::PhenoSplitPlanes& planes,
-                     const TilingParams& tiling,
-                     const CachedKernelSet& kernels, PairBlockScratch& scratch,
-                     const BlockPair& bp,
-                     const combinatorics::RankRange& clip,
-                     OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  engine_detail::scan_block_tuple_impl<2>(
-      planes, tiling, scratch, BlockTuple<2>{bp.b0, bp.b1}, clip,
-      [&](const std::array<std::size_t, 2>& base,
-          const std::array<std::size_t, 2>& end) {
-        for (int c = 0; c < 2; ++c) {
-          const std::size_t words = planes.words(c);
-          for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-            const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-            for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-              for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1];
-                   ++i1) {
-                std::array<std::uint32_t, 9> pops{};
-                kernels.count(planes.plane(c, i0, 0), planes.plane(c, i0, 1),
-                              planes.plane(c, i1, 0), planes.plane(c, i1, 1),
-                              w0, w1, pops.data());
-                const std::size_t local =
-                    (i0 - base[0]) * bs + (i1 - base[1]);
-                std::uint32_t* ft = scratch.table(local, c);
-                for (int p = 0; p < 9; ++p) ft[p] += pops[static_cast<std::size_t>(p)];
-              }
-            }
-          }
-        }
-      },
-      [&](const combinatorics::Combination<2>& c,
-          const scoring::PairContingencyTable& t) {
-        on_table(combinatorics::Pair{c[0], c[1]}, t);
-      });
-}
-
-/// Unclipped pair scan: every pair of the block pair is emitted.
-template <typename OnTable>
-void scan_block_pair(const dataset::PhenoSplitPlanes& planes,
-                     const TilingParams& tiling,
-                     const CachedKernelSet& kernels, PairBlockScratch& scratch,
-                     const BlockPair& bp, OnTable&& on_table) {
-  scan_block_pair(planes, tiling, kernels, scratch, bp, kFullRange,
-                  static_cast<OnTable&&>(on_table));
-}
-
-// ---------------------------------------------------------------------------
-// Batched multi-phenotype engines
-// ---------------------------------------------------------------------------
-
-/// Per-thread scratch of the batched engines: the prefix-plane ladder, the
+/// Per-thread scratch of the batched walks: the prefix-plane ladder, the
 /// chunk |prefix ∩ label| popcounts, and the live (1 + P)-slot tables (slot
 /// 0 totals, slot 1+p the case table of partition p).  At order >= 3 the
 /// tables of all final-axis combinations of one prefix are live together
@@ -653,13 +492,10 @@ class BatchTupleScratch {
   static constexpr std::size_t kPrefixPlanes = K == 2 ? 9 : pow3(K - 1);
 
   BatchTupleScratch(std::size_t bs, std::size_t slots, std::size_t lstride)
-      : bs_(bs),
-        slots_(slots),
+      : slots_(slots),
         tables_((K >= 3 ? bs : 1) * (1 + slots) * kCells),
         label_pops_(kPrefixPlanes * lstride) {}
 
-  std::size_t bs() const { return bs_; }
-  std::size_t slots() const { return slots_; }
   /// The (1 + P)-slot table group of final-axis combination `z_rel`.
   std::uint32_t* tables(std::size_t z_rel) {
     return tables_.data() + z_rel * (1 + slots_) * kCells;
@@ -675,14 +511,39 @@ class BatchTupleScratch {
   PrefixPlaneCache& prefix_cache() { return cache_; }
 
  private:
-  std::size_t bs_;
   std::size_t slots_;
   std::vector<std::uint32_t> tables_;
   std::vector<std::uint32_t> label_pops_;
   PrefixPlaneCache cache_;
 };
 
-/// Batched ladder scan at any order K >= 3: evaluates every combination of
+namespace engine_detail {
+
+/// Emits the batched tables of one combination, partition index ascending:
+/// slot 0 of `group` holds the phenotype-independent totals, slot 1+p the
+/// exact case table of partition p (label planes are zero-padded).  The
+/// control table is totals − case; only it inherits the combined planes'
+/// `pad` phantom all-genotype-2 observations.
+template <unsigned K, typename OnTable>
+void emit_batched(const combinatorics::Combination<K>& comb,
+                  const std::uint32_t* group, std::size_t num_labels,
+                  std::size_t pad, OnTable& on_table) {
+  constexpr std::size_t kCells = scoring::num_cells(K);
+  for (std::size_t p = 0; p < num_labels; ++p) {
+    const std::uint32_t* case_ft = group + (1 + p) * kCells;
+    scoring::BasicContingencyTable<K> t;
+    for (std::size_t i = 0; i < kCells; ++i) {
+      t.counts[1][i] = case_ft[i];
+      t.counts[0][i] = group[i] - case_ft[i];
+    }
+    t.counts[0][kCells - 1] -= static_cast<std::uint32_t>(pad);
+    on_table(comb, p, std::as_const(t));
+  }
+}
+
+}  // namespace engine_detail
+
+/// Batched ladder walk at any order K >= 3: evaluates every combination of
 /// block tuple `bt` within `clip` against ALL partitions of `batch` in one
 /// pass, and calls `on_table(const Combination<K>&, std::size_t partition,
 /// const BasicContingencyTable<K>&)` for each (partition index ascending
@@ -700,9 +561,7 @@ template <unsigned K, typename OnTable>
 void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
                               const dataset::PhenotypeBatch& batch,
                               const TilingParams& tiling,
-                              const CachedKernelSet& cached,
-                              const GenericKernelSet& generic,
-                              const BatchKernelSet& bkern,
+                              const EngineKernels& kernels,
                               BatchTupleScratch<K>& scratch,
                               const BlockTuple<K>& bt,
                               const combinatorics::RankRange& clip,
@@ -710,116 +569,69 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
   static_assert(K >= 3, "the batched ladder needs a length-2 prefix; "
                         "use scan_block_pair_batched for K == 2");
   constexpr std::size_t kCells = BatchTupleScratch<K>::kCells;
-  const std::size_t bs = tiling.bs;
-  const std::size_t m = planes.num_snps();
-  std::array<std::size_t, K> base;
-  std::array<std::size_t, K> end;
-  for (unsigned j = 0; j < K; ++j) {
-    base[j] = bt[j] * bs;
-    if (base[j] >= m) return;
-    end[j] = std::min(base[j] + bs, m);
-  }
-
-  bool filter = false;
-  if (clip.first != kFullRange.first || clip.last != kFullRange.last) {
-    const combinatorics::RankRange span = combinatorics::block_tuple_span<K>(
-        combinatorics::BlockGrid{m, bs}, bt);
-    if (span.empty() || span.last <= clip.first || span.first >= clip.last) {
-      return;
-    }
-    filter = span.first < clip.first || span.last > clip.last;
-  }
+  constexpr std::size_t count = pow3(K - 1);
+  const auto bounds =
+      engine_detail::block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
+  if (!bounds) return;
+  const engine_detail::BlockBounds<K>& b = *bounds;
 
   const std::size_t num_labels = batch.size();
   const std::size_t lstride = batch.stride();
   const Word* labels = batch.word_labels();
   const std::size_t words = planes.words(0);
-  const std::size_t pad = planes.pad_bits(0);
   PrefixPlaneCache& cache = scratch.prefix_cache();
   cache.ensure(K, tiling.bp_words);
-  constexpr std::size_t count = pow3(K - 1);
+  const auto plane = [&](std::size_t snp, int g) {
+    return planes.plane(0, snp, g);
+  };
 
+  // The walk covers the prefix axes 0..K-2; the final axis runs inside
+  // each prefix, with the chunk loop around it: the ladder and the
+  // per-chunk label popcounts are built once and reused by every
+  // final-axis SNP and every partition.
   combinatorics::Combination<K> comb{};
-  const auto process_prefix = [&]() {
-    const std::size_t z_first =
-        std::max(base[K - 1], static_cast<std::size_t>(comb[K - 2]) + 1);
-    if (z_first >= end[K - 1]) return;
-    const std::size_t z_count = end[K - 1] - z_first;
-    scratch.clear_tables(z_count);
-    // Chunk loop inside the prefix: the ladder and the per-chunk label
-    // popcounts are built once and reused by every final-axis SNP and
-    // every partition.
-    for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-      const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-      std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-      cached.build(planes.plane(0, comb[0], 0), planes.plane(0, comb[0], 1),
-                   planes.plane(0, comb[1], 0), planes.plane(0, comb[1], 1),
-                   w0, w1, cache.rung(2), cache.stride(), cache.rung_pops(2));
-      for (unsigned j = 2; j + 1 < K; ++j) {
-        std::uint32_t* pops = nullptr;
-        if (j + 1 == K - 1) {
-          pops = cache.rung_pops(j + 1);
-          std::fill(pops, pops + pow3(j + 1), 0u);
+  auto visit = [&](auto axis, std::size_t i, std::size_t) {
+    constexpr unsigned j = decltype(axis)::value;
+    comb[j] = static_cast<std::uint32_t>(i);
+    if constexpr (j + 2 == K) {
+      const std::size_t z_first = b.first(K - 1, i);
+      const std::size_t z_end = b.end[K - 1];
+      scratch.clear_tables(z_end - z_first);
+      for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+        const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+        kernels.build_rung2(cache, plane(comb[0], 0), plane(comb[0], 1),
+                            plane(comb[1], 0), plane(comb[1], 1), w0, w1);
+        for (unsigned r = 2; r + 1 < K; ++r) {
+          kernels.extend_rung(cache, r, plane(comb[r], 0), plane(comb[r], 1),
+                              w0, w1, r + 2 == K);
         }
-        generic.extend(cache.rung(j), pow3(j), cache.stride(),
-                       planes.plane(0, comb[j], 0),
-                       planes.plane(0, comb[j], 1), w0, w1, cache.rung(j + 1),
-                       cache.stride(), pops);
-      }
-      const Word* last = cache.rung(K - 1);
-      std::fill(scratch.label_pops(),
-                scratch.label_pops() + count * lstride, 0u);
-      bkern.label_pops(last, count, cache.stride(), labels, num_labels,
-                       lstride, w0, w1, scratch.label_pops());
-      for (std::size_t z = z_first; z < end[K - 1]; ++z) {
-        bkern.finalize(last, count, cache.stride(), cache.rung_pops(K - 1),
-                       scratch.label_pops(), planes.plane(0, z, 0),
-                       planes.plane(0, z, 1), labels, num_labels, lstride, w0,
-                       w1, scratch.tables(z - z_first), kCells);
-      }
-    }
-    // Emit: slot 0 holds the phenotype-independent totals, slot 1+p the
-    // exact case table of partition p (label planes are zero-padded).  The
-    // control table is totals − case; only it inherits the combined
-    // planes' phantom all-genotype-2 padding.
-    for (std::size_t z = z_first; z < end[K - 1]; ++z) {
-      comb[K - 1] = static_cast<std::uint32_t>(z);
-      if (filter) {
-        const std::uint64_t rank = combinatorics::rank_combination<K>(comb);
-        if (rank < clip.first || rank >= clip.last) continue;
-      }
-      const std::uint32_t* group = scratch.tables(z - z_first);
-      for (std::size_t p = 0; p < num_labels; ++p) {
-        const std::uint32_t* case_ft = group + (1 + p) * kCells;
-        scoring::BasicContingencyTable<K> t;
-        for (std::size_t i = 0; i < kCells; ++i) {
-          t.counts[1][i] = case_ft[i];
-          t.counts[0][i] = group[i] - case_ft[i];
+        const Word* last = cache.rung(K - 1);
+        std::fill(scratch.label_pops(),
+                  scratch.label_pops() + count * lstride, 0u);
+        kernels.batch.label_pops(last, count, cache.stride(), labels,
+                                 num_labels, lstride, w0, w1,
+                                 scratch.label_pops());
+        for (std::size_t z = z_first; z < z_end; ++z) {
+          kernels.batch.finalize(last, count, cache.stride(),
+                                 cache.rung_pops(K - 1), scratch.label_pops(),
+                                 plane(z, 0), plane(z, 1), labels, num_labels,
+                                 lstride, w0, w1, scratch.tables(z - z_first),
+                                 kCells);
         }
-        t.counts[0][kCells - 1] -= static_cast<std::uint32_t>(pad);
-        on_table(static_cast<const combinatorics::Combination<K>&>(comb), p,
-                 t);
+      }
+      for (std::size_t z = z_first; z < z_end; ++z) {
+        comb[K - 1] = static_cast<std::uint32_t>(z);
+        if (!b.emits(comb, clip)) continue;
+        engine_detail::emit_batched<K>(comb, scratch.tables(z - z_first),
+                                       num_labels, planes.pad_bits(0),
+                                       on_table);
       }
     }
   };
-
-  const auto walk = [&](const auto& self, unsigned j,
-                        std::size_t prev) -> void {
-    if (j == K - 1) {
-      process_prefix();
-      return;
-    }
-    const std::size_t first = j == 0 ? base[0] : std::max(base[j], prev + 1);
-    for (std::size_t i = first; i < end[j]; ++i) {
-      if (!engine_detail::has_completion<K>(base, end, j, i)) continue;
-      comb[j] = static_cast<std::uint32_t>(i);
-      self(self, j + 1, i);
-    }
-  };
-  walk(walk, 0, 0);
+  engine_detail::walk_axes<K - 1>(b, 0, 0, visit);
 }
 
-/// Batched pair scan (K == 2): the nine x∩y planes of each pair are
+/// Batched pair walk (K == 2): the nine x∩y planes of each pair are
 /// materialized once per chunk; their chunk popcounts are the totals and
 /// one label-popcount pass per chunk yields every partition's case cells
 /// directly — there is no final axis, so no finalize kernel is involved.
@@ -829,58 +641,42 @@ template <typename OnTable>
 void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
                              const dataset::PhenotypeBatch& batch,
                              const TilingParams& tiling,
-                             const CachedKernelSet& cached,
-                             const BatchKernelSet& bkern,
+                             const EngineKernels& kernels,
                              BatchTupleScratch<2>& scratch,
-                             const BlockPair& bp,
+                             const BlockTuple<2>& bt,
                              const combinatorics::RankRange& clip,
                              OnTable&& on_table) {
-  const std::size_t bs = tiling.bs;
-  const std::size_t m = planes.num_snps();
-  std::array<std::size_t, 2> base{bp.b0 * bs, bp.b1 * bs};
-  if (base[0] >= m || base[1] >= m) return;
-  const std::array<std::size_t, 2> end{std::min(base[0] + bs, m),
-                                       std::min(base[1] + bs, m)};
-
-  bool filter = false;
-  if (clip.first != kFullRange.first || clip.last != kFullRange.last) {
-    const combinatorics::RankRange span = combinatorics::block_tuple_span<2>(
-        combinatorics::BlockGrid{m, bs}, BlockTuple<2>{bp.b0, bp.b1});
-    if (span.empty() || span.last <= clip.first || span.first >= clip.last) {
-      return;
-    }
-    filter = span.first < clip.first || span.last > clip.last;
-  }
+  const auto bounds =
+      engine_detail::block_bounds<2>(planes.num_snps(), tiling.bs, bt, clip);
+  if (!bounds) return;
+  const engine_detail::BlockBounds<2>& b = *bounds;
 
   const std::size_t num_labels = batch.size();
   const std::size_t lstride = batch.stride();
   const Word* labels = batch.word_labels();
   const std::size_t words = planes.words(0);
-  const std::size_t pad = planes.pad_bits(0);
   PrefixPlaneCache& cache = scratch.prefix_cache();
   cache.ensure(3, tiling.bp_words);
 
   combinatorics::Combination<2> comb{};
-  for (std::size_t i0 = base[0]; i0 < end[0]; ++i0) {
-    for (std::size_t i1 = std::max(base[1], i0 + 1); i1 < end[1]; ++i1) {
-      comb[0] = static_cast<std::uint32_t>(i0);
-      comb[1] = static_cast<std::uint32_t>(i1);
-      if (filter) {
-        const std::uint64_t rank = combinatorics::rank_combination<2>(comb);
-        if (rank < clip.first || rank >= clip.last) continue;
-      }
+  auto visit = [&](auto axis, std::size_t i, std::size_t) {
+    constexpr unsigned j = decltype(axis)::value;
+    comb[j] = static_cast<std::uint32_t>(i);
+    if constexpr (j == 1) {
+      if (!b.emits(comb, clip)) return;
       scratch.clear_tables(1);
       std::uint32_t* table = scratch.tables(0);
       for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
         const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-        std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-        cached.build(planes.plane(0, i0, 0), planes.plane(0, i0, 1),
-                     planes.plane(0, i1, 0), planes.plane(0, i1, 1), w0, w1,
-                     cache.rung(2), cache.stride(), cache.rung_pops(2));
+        kernels.build_rung2(cache, planes.plane(0, comb[0], 0),
+                            planes.plane(0, comb[0], 1),
+                            planes.plane(0, comb[1], 0),
+                            planes.plane(0, comb[1], 1), w0, w1);
         std::fill(scratch.label_pops(), scratch.label_pops() + 9 * lstride,
                   0u);
-        bkern.label_pops(cache.rung(2), 9, cache.stride(), labels, num_labels,
-                         lstride, w0, w1, scratch.label_pops());
+        kernels.batch.label_pops(cache.rung(2), 9, cache.stride(), labels,
+                                 num_labels, lstride, w0, w1,
+                                 scratch.label_pops());
         for (std::size_t t = 0; t < 9; ++t) {
           table[t] += cache.rung_pops(2)[t];
           for (std::size_t p = 0; p < num_labels; ++p) {
@@ -888,19 +684,11 @@ void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
           }
         }
       }
-      for (std::size_t p = 0; p < num_labels; ++p) {
-        const std::uint32_t* case_ft = table + (1 + p) * 9;
-        scoring::PairContingencyTable t;
-        for (std::size_t i = 0; i < 9; ++i) {
-          t.counts[1][i] = case_ft[i];
-          t.counts[0][i] = table[i] - case_ft[i];
-        }
-        t.counts[0][8] -= static_cast<std::uint32_t>(pad);
-        on_table(static_cast<const combinatorics::Combination<2>&>(comb), p,
-                 t);
-      }
+      engine_detail::emit_batched<2>(comb, table, num_labels,
+                                     planes.pad_bits(0), on_table);
     }
-  }
+  };
+  engine_detail::walk_axes<2>(b, 0, 0, visit);
 }
 
 }  // namespace trigen::core

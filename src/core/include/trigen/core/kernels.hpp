@@ -33,7 +33,7 @@
 /// NOR padding: plane tail bits are zero, so the inferred genotype-2 plane
 /// has ones there and the kernels over-count cell (2,2,2) by exactly the
 /// class's padding-bit count.  Callers subtract `PhenoSplitPlanes::pad_bits`
-/// once per class after the last word block (see blocked_engine.cpp) —
+/// once per class after the last word block (see blocked_engine.hpp) —
 /// keeping the hot loop mask-free.
 
 #include <cstdint>
@@ -113,10 +113,12 @@ struct CachedKernelSet {
 // (the SNP's three genotype planes partition every sample bit, padding
 // included, so P∩s2 = P ^ (P∩s0) ^ (P∩s1)).  The final SNP never
 // materializes planes at all: |P∩z2| = |P| - |P∩z0| - |P∩z1|, exactly the
-// triple-cached kernel with 3^(K-2) prefixes instead of 9.  The k=2/k=3
-// engines keep their dedicated kernels above; these runtime-count variants
-// serve K >= 4 (scalar + AVX2; the AVX-512 strategies dispatch to the
-// widest compiled generic path).
+// triple-cached kernel with 3^(K-2) prefixes instead of 9.  The blocked
+// walks take their leaf kernel per order (core::EngineKernels): the
+// counts-only pair kernel above at K = 2, the per-ISA triple-block and
+// cached kernels above at K = 3, and these runtime-count variants at
+// K >= 4 (scalar + AVX2; the AVX-512 strategies dispatch to the widest
+// compiled generic path).
 
 /// Ladder extension: for each of `count` cached prefix planes
 /// (`prefix[t*stride + rel]`, rel in [0, w_end - w_begin)), writes the

@@ -110,6 +110,53 @@ TEST_P(CliRetiredTunerOption, ProfileIsRejected) {
 }
 
 // --------------------------------------------------------------------------
+// Count-like options
+// --------------------------------------------------------------------------
+
+struct CountOption {
+  const char* sub;
+  const char* option;
+};
+
+void PrintTo(const CountOption& c, std::ostream* os) {
+  *os << c.sub << " --" << c.option;
+}
+
+class CliNegativeCount : public ::testing::TestWithParam<CountOption> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Options, CliNegativeCount,
+    ::testing::Values(CountOption{"generate", "snps"},
+                      CountOption{"generate", "samples"},
+                      CountOption{"scan", "top"},
+                      CountOption{"scan", "threads"},
+                      CountOption{"scan2", "top"},
+                      CountOption{"scan2", "threads"},
+                      CountOption{"baseline", "top"},
+                      CountOption{"baseline", "threads"},
+                      CountOption{"significance", "permutations"},
+                      CountOption{"significance", "threads"},
+                      CountOption{"significance", "batch"}),
+    [](const ::testing::TestParamInfo<CountOption>& info) {
+      return std::string(info.param.sub) + "_" + info.param.option;
+    });
+
+TEST_P(CliNegativeCount, ExitsTwoNamingTheOptionBeforeReadingInputs) {
+  // A negative count must be a usage error, not a two's-complement wrap
+  // into ~2^64 (all triplets for --top, bad_alloc for --threads).  The
+  // path does not exist (for generate: its directory), so exit 2 shows the
+  // value is rejected before any input is opened or output written.
+  const CountOption& c = GetParam();
+  const std::string option = std::string("--") + c.option;
+  const CliRun r =
+      run_cli({c.sub, "no-such-dir/no-such-dataset.tgb", option, "-1"});
+  EXPECT_EQ(r.code, 2) << r.output;
+  EXPECT_NE(r.output.find(option + " expects a non-negative integer"),
+            std::string::npos)
+      << r.output;
+}
+
+// --------------------------------------------------------------------------
 // Documented options
 // --------------------------------------------------------------------------
 

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <random>
 #include <set>
 #include <string>
@@ -21,7 +23,11 @@
 namespace trigen::core {
 namespace {
 
+using combinatorics::BlockTriple;
+using combinatorics::num_block_triples;
+using combinatorics::rank_block_triple;
 using combinatorics::Triplet;
+using combinatorics::unrank_block_triple;
 using scoring::ContingencyTable;
 using scoring::reference_contingency;
 using trigen::test::Shape;
@@ -185,19 +191,19 @@ TEST_P(KernelShapeTest, CachedKernelMatchesReferenceForEveryIsa) {
   for (const KernelIsa isa : all_kernel_isas()) {
     if (!kernel_available(isa)) continue;
     const CachedKernelSet ks = get_cached_kernels(isa);
-    PairPlaneCache cache;
+    PrefixPlaneCache cache;
     for (std::size_t x = 0; x < m; ++x) {
       for (std::size_t y = x + 1; y < m; ++y) {
         for (std::size_t z = y + 1; z < m; ++z) {
           ContingencyTable t;
           for (int c = 0; c < 2; ++c) {
             const std::size_t words = planes.words(c);
-            cache.ensure(words);
-            std::fill(cache.pops(), cache.pops() + 9, 0u);
+            cache.ensure(3, words);
+            std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
             ks.build(planes.plane(c, x, 0), planes.plane(c, x, 1),
                      planes.plane(c, y, 0), planes.plane(c, y, 1), 0, words,
-                     cache.planes(), cache.stride(), cache.pops());
-            ks.cached(cache.planes(), cache.stride(), cache.pops(),
+                     cache.rung(2), cache.stride(), cache.rung_pops(2));
+            ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
                       planes.plane(c, z, 0), planes.plane(c, z, 1), 0, words,
                       t.counts[static_cast<std::size_t>(c)].data());
             t.counts[static_cast<std::size_t>(c)][26] -=
@@ -218,27 +224,28 @@ TEST(Kernels, CachedKernelWordSubrangesCompose) {
   const auto d = random_dataset({6, 200, 17});
   const auto planes = dataset::PhenoSplitPlanes::build(d);
   const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
-  PairPlaneCache cache;
+  PrefixPlaneCache cache;
   for (int c = 0; c < 2; ++c) {
     const std::size_t words = planes.words(c);
-    cache.ensure(words);
+    cache.ensure(3, words);
     std::uint32_t full[27] = {};
     std::uint32_t split_acc[27] = {};
-    std::fill(cache.pops(), cache.pops() + 9, 0u);
+    std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
     ks.build(planes.plane(c, 0, 0), planes.plane(c, 0, 1),
              planes.plane(c, 1, 0), planes.plane(c, 1, 1), 0, words,
-             cache.planes(), cache.stride(), cache.pops());
-    ks.cached(cache.planes(), cache.stride(), cache.pops(),
+             cache.rung(2), cache.stride(), cache.rung_pops(2));
+    ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
               planes.plane(c, 2, 0), planes.plane(c, 2, 1), 0, words, full);
     const std::size_t mid = words / 2;
     for (const auto range :
          {std::pair<std::size_t, std::size_t>{0, mid},
           std::pair<std::size_t, std::size_t>{mid, words}}) {
-      std::fill(cache.pops(), cache.pops() + 9, 0u);
+      std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
       ks.build(planes.plane(c, 0, 0), planes.plane(c, 0, 1),
                planes.plane(c, 1, 0), planes.plane(c, 1, 1), range.first,
-               range.second, cache.planes(), cache.stride(), cache.pops());
-      ks.cached(cache.planes(), cache.stride(), cache.pops(),
+               range.second, cache.rung(2), cache.stride(),
+               cache.rung_pops(2));
+      ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
                 planes.plane(c, 2, 0), planes.plane(c, 2, 1), range.first,
                 range.second, split_acc);
     }
@@ -308,160 +315,182 @@ TEST(BlockTriples, LargeRanksRoundTrip) {
 }
 
 // --------------------------------------------------------------------------
-// Blocked engine
+// Blocked engine: every walk, table-driven over order x walk x B_S
 // --------------------------------------------------------------------------
 
-class BlockedEngineTest
-    : public ::testing::TestWithParam<std::tuple<Shape, std::size_t>> {};
+enum class Walk { kDirect, kLadder };
 
-INSTANTIATE_TEST_SUITE_P(
-    ShapesAndTiles, BlockedEngineTest,
-    ::testing::Combine(::testing::ValuesIn(small_shapes()),
-                       ::testing::Values(1u, 2u, 3u, 5u, 7u)));
+struct EngineCase {
+  unsigned order;
+  Walk walk;
+  std::size_t bs;
+};
 
-TEST_P(BlockedEngineTest, CoversEveryTripletExactlyOnceWithCorrectTables) {
-  const auto d = random_dataset(std::get<0>(GetParam()));
-  const std::size_t bs = std::get<1>(GetParam());
-  const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const TilingParams tiling{bs, 32};
-  const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
-
-  const std::size_t m = d.num_snps();
-  const std::uint64_t nb = (m + bs - 1) / bs;
-  std::map<std::uint64_t, int> seen;
-  for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-    scan_block_triple(planes, tiling, kernel, scratch, unrank_block_triple(r),
-                      [&](const Triplet& t, const ContingencyTable& table) {
-                        ++seen[combinatorics::rank_triplet(t)];
-                        ASSERT_EQ(table,
-                                  reference_contingency(d, t.x, t.y, t.z))
-                            << t.x << "," << t.y << "," << t.z;
-                      });
+std::vector<EngineCase> engine_cases() {
+  std::vector<EngineCase> v;
+  for (const unsigned order : {2u, 3u, 4u}) {
+    for (const Walk walk : {Walk::kDirect, Walk::kLadder}) {
+      // The ladder has no rung below order 3 (it is the direct walk there).
+      if (walk == Walk::kLadder && order < 3) continue;
+      for (const std::size_t bs : {1u, 2u, 3u, 5u, 7u}) {
+        v.push_back({order, walk, bs});
+      }
+    }
   }
-  const std::uint64_t total = combinatorics::num_triplets(m);
-  ASSERT_EQ(seen.size(), total);
-  for (const auto& [rank, count] : seen) {
-    ASSERT_EQ(count, 1) << "rank " << rank;
+  return v;
+}
+
+std::string engine_case_name(const ::testing::TestParamInfo<EngineCase>& i) {
+  return "k" + std::to_string(i.param.order) +
+         (i.param.walk == Walk::kDirect ? "_direct" : "_ladder") + "_bs" +
+         std::to_string(i.param.bs);
+}
+
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  *os << "order " << c.order
+      << (c.walk == Walk::kDirect ? " direct" : " ladder") << " bs " << c.bs;
+}
+
+/// Calls `f.template operator()<K>()` with K = `order`.
+template <typename F>
+void with_order(unsigned order, F&& f) {
+  switch (order) {
+    case 2: return f.template operator()<2>();
+    case 3: return f.template operator()<3>();
+    case 4: return f.template operator()<4>();
+    default: FAIL() << "order " << order;
   }
 }
 
-TEST(BlockedEngine, ClipEmitsExactlyTheTripletsInRange) {
+/// Scans block tuple `bt` with `walk` and the scalar kernels, checking
+/// every emitted table against the per-sample reference; returns the colex
+/// ranks emitted.
+template <unsigned K>
+std::vector<std::uint64_t> scan_checked(const dataset::GenotypeMatrix& d,
+                                        const dataset::PhenoSplitPlanes& planes,
+                                        Walk walk, const TilingParams& tiling,
+                                        TupleBlockScratch<K>& scratch,
+                                        const BlockTuple<K>& bt,
+                                        const combinatorics::RankRange& clip) {
+  const EngineKernels kernels = EngineKernels::of(KernelIsa::kScalar);
+  std::vector<std::uint64_t> ranks;
+  const auto on_table = [&](const combinatorics::Combination<K>& c,
+                            const scoring::BasicContingencyTable<K>& t) {
+    ranks.push_back(combinatorics::rank_combination<K>(c));
+    EXPECT_EQ(t, scoring::reference_contingency_k<K>(d, c))
+        << "rank " << ranks.back();
+  };
+  if (walk == Walk::kLadder) {
+    scan_block_tuple_ladder<K>(planes, tiling, kernels, scratch, bt, clip,
+                               on_table);
+  } else {
+    scan_block_tuple<K>(planes, tiling, kernels, scratch, bt, clip, on_table);
+  }
+  return ranks;
+}
+
+/// scan_checked over every block tuple of `d`'s grid of tiling.bs blocks.
+template <unsigned K>
+std::vector<std::uint64_t> scan_grid_checked(
+    const dataset::GenotypeMatrix& d, Walk walk, const TilingParams& tiling,
+    const combinatorics::RankRange& clip) {
+  const auto planes = dataset::PhenoSplitPlanes::build(d);
+  TupleBlockScratch<K> scratch(tiling.bs);
+  const std::uint64_t nb = (d.num_snps() + tiling.bs - 1) / tiling.bs;
+  std::vector<std::uint64_t> ranks;
+  for (std::uint64_t r = 0; r < num_block_tuples<K>(nb); ++r) {
+    const auto got = scan_checked<K>(d, planes, walk, tiling, scratch,
+                                     unrank_block_tuple<K>(r), clip);
+    ranks.insert(ranks.end(), got.begin(), got.end());
+  }
+  return ranks;
+}
+
+/// The emitted ranks are exactly those of `expected`, each emitted once.
+void expect_each_rank_once(std::vector<std::uint64_t> ranks,
+                           const combinatorics::RankRange& expected) {
+  std::sort(ranks.begin(), ranks.end());
+  ASSERT_EQ(ranks.size(), expected.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    ASSERT_EQ(ranks[i], expected.first + i) << "emitted twice or off-range";
+  }
+}
+
+class BlockedEngineTest : public ::testing::TestWithParam<EngineCase> {};
+
+INSTANTIATE_TEST_SUITE_P(OrdersWalksTiles, BlockedEngineTest,
+                         ::testing::ValuesIn(engine_cases()),
+                         engine_case_name);
+
+TEST_P(BlockedEngineTest, CoversEveryCombinationExactlyOnceWithCorrectTables) {
+  const EngineCase& ec = GetParam();
+  for (const Shape& shape : small_shapes()) {
+    SCOPED_TRACE(std::get<0>(shape));
+    const auto d = random_dataset(shape);
+    with_order(ec.order, [&]<unsigned K>() {
+      expect_each_rank_once(
+          scan_grid_checked<K>(d, ec.walk, {ec.bs, 32}, kFullRange),
+          {0, combinatorics::n_choose_k(d.num_snps(), K)});
+    });
+  }
+}
+
+TEST_P(BlockedEngineTest, ClipEmitsExactlyTheCombinationsInRange) {
+  const EngineCase& ec = GetParam();
   const auto d = random_dataset({10, 100, 13});
-  const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const std::size_t bs = 3;
-  const TilingParams tiling{bs, 16};
-  const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
-  const std::uint64_t nb = (10 + bs - 1) / bs;
-  const std::uint64_t total = combinatorics::num_triplets(10);
-
-  for (const auto clip :
-       {combinatorics::RankRange{0, total}, combinatorics::RankRange{17, 18},
-        combinatorics::RankRange{0, total / 2},
-        combinatorics::RankRange{total / 2, total},
-        combinatorics::RankRange{3, total - 3}}) {
-    std::set<std::uint64_t> emitted;
-    for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-      scan_block_triple(planes, tiling, kernel, scratch,
-                        unrank_block_triple(r), clip,
-                        [&](const Triplet& t, const ContingencyTable& table) {
-                          const std::uint64_t rank =
-                              combinatorics::rank_triplet(t);
-                          ASSERT_TRUE(emitted.insert(rank).second) << rank;
-                          ASSERT_EQ(table,
-                                    reference_contingency(d, t.x, t.y, t.z));
-                        });
+  with_order(ec.order, [&]<unsigned K>() {
+    const std::uint64_t total = combinatorics::n_choose_k(10, K);
+    for (const auto clip :
+         {combinatorics::RankRange{0, total}, combinatorics::RankRange{17, 18},
+          combinatorics::RankRange{0, total / 2},
+          combinatorics::RankRange{total / 2, total},
+          combinatorics::RankRange{3, total - 3}}) {
+      SCOPED_TRACE(clip.first);
+      expect_each_rank_once(
+          scan_grid_checked<K>(d, ec.walk, {ec.bs, 16}, clip), clip);
     }
-    ASSERT_EQ(emitted.size(), clip.size());
-    for (const std::uint64_t rank : emitted) {
-      ASSERT_GE(rank, clip.first);
-      ASSERT_LT(rank, clip.last);
-    }
-  }
+  });
 }
 
-TEST(BlockedEngine, BpSmallerThanWordsStillCorrect) {
+TEST_P(BlockedEngineTest, BpSmallerThanWordsStillCorrect) {
+  const EngineCase& ec = GetParam();
   const auto d = random_dataset({9, 600, 23});
-  const auto planes = dataset::PhenoSplitPlanes::build(d);
-  for (std::size_t bp : {1u, 3u, 16u, 1000u}) {
-    const TilingParams tiling{3, bp};
-    BlockScratch scratch(3);
-    const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
-    std::uint64_t count = 0;
-    for (std::uint64_t r = 0; r < num_block_triples(3); ++r) {
-      scan_block_triple(planes, tiling, kernel, scratch,
-                        unrank_block_triple(r),
-                        [&](const Triplet& t, const ContingencyTable& table) {
-                          ++count;
-                          ASSERT_EQ(table,
-                                    reference_contingency(d, t.x, t.y, t.z));
-                        });
-    }
-    EXPECT_EQ(count, combinatorics::num_triplets(9)) << "bp=" << bp;
+  for (const std::size_t bp : {1u, 3u, 16u, 1000u}) {
+    SCOPED_TRACE(bp);
+    with_order(ec.order, [&]<unsigned K>() {
+      expect_each_rank_once(
+          scan_grid_checked<K>(d, ec.walk, {ec.bs, bp}, kFullRange),
+          {0, combinatorics::n_choose_k(9, K)});
+    });
   }
 }
 
-TEST_P(BlockedEngineTest, CachedEngineCoversEveryTripletExactlyOnceWithCorrectTables) {
-  const auto d = random_dataset(std::get<0>(GetParam()));
-  const std::size_t bs = std::get<1>(GetParam());
+TEST_P(BlockedEngineTest, SingleBlockCoversWholeDataset) {
+  const EngineCase& ec = GetParam();
+  const auto d = random_dataset({7, 90, 69});
   const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const TilingParams tiling{bs, 32};
-  const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
-
-  const std::size_t m = d.num_snps();
-  const std::uint64_t nb = (m + bs - 1) / bs;
-  std::map<std::uint64_t, int> seen;
-  for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-    scan_block_triple(planes, tiling, ks, scratch, unrank_block_triple(r),
-                      [&](const Triplet& t, const ContingencyTable& table) {
-                        ++seen[combinatorics::rank_triplet(t)];
-                        ASSERT_EQ(table,
-                                  reference_contingency(d, t.x, t.y, t.z))
-                            << t.x << "," << t.y << "," << t.z;
-                      });
-  }
-  const std::uint64_t total = combinatorics::num_triplets(m);
-  ASSERT_EQ(seen.size(), total);
-  for (const auto& [rank, count] : seen) {
-    ASSERT_EQ(count, 1) << "rank " << rank;
-  }
+  const TilingParams tiling{8, 8};  // bs > M: one block
+  with_order(ec.order, [&]<unsigned K>() {
+    TupleBlockScratch<K> scratch(tiling.bs);
+    expect_each_rank_once(scan_checked<K>(d, planes, ec.walk, tiling, scratch,
+                                          BlockTuple<K>{}, kFullRange),
+                          {0, combinatorics::n_choose_k(7, K)});
+  });
 }
 
-TEST(BlockedEngine, CachedClipEmitsExactlyTheTripletsInRange) {
-  const auto d = random_dataset({10, 100, 13});
+TEST_P(BlockedEngineTest, OutOfRangeBlockTupleIsEmpty) {
+  const EngineCase& ec = GetParam();
+  const auto d = random_dataset({6, 64, 71});
   const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const std::size_t bs = 3;
-  const TilingParams tiling{bs, 16};
-  const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
-  BlockScratch scratch(bs);
-  const std::uint64_t nb = (10 + bs - 1) / bs;
-  const std::uint64_t total = combinatorics::num_triplets(10);
-
-  for (const auto clip :
-       {combinatorics::RankRange{0, total}, combinatorics::RankRange{17, 18},
-        combinatorics::RankRange{0, total / 2},
-        combinatorics::RankRange{total / 2, total},
-        combinatorics::RankRange{3, total - 3}}) {
-    std::set<std::uint64_t> emitted;
-    for (std::uint64_t r = 0; r < num_block_triples(nb); ++r) {
-      scan_block_triple(planes, tiling, ks, scratch, unrank_block_triple(r),
-                        clip,
-                        [&](const Triplet& t, const ContingencyTable& table) {
-                          const std::uint64_t rank =
-                              combinatorics::rank_triplet(t);
-                          ASSERT_TRUE(emitted.insert(rank).second) << rank;
-                          ASSERT_EQ(table,
-                                    reference_contingency(d, t.x, t.y, t.z));
-                        });
-    }
-    ASSERT_EQ(emitted.size(), clip.size());
-    for (const std::uint64_t rank : emitted) {
-      ASSERT_GE(rank, clip.first);
-      ASSERT_LT(rank, clip.last);
-    }
-  }
+  const TilingParams tiling{ec.bs, 8};
+  with_order(ec.order, [&]<unsigned K>() {
+    TupleBlockScratch<K> scratch(tiling.bs);
+    BlockTuple<K> far;
+    far.fill(9);
+    EXPECT_TRUE(scan_checked<K>(d, planes, ec.walk, tiling, scratch, far,
+                                kFullRange)
+                    .empty());
+  });
 }
 
 // --------------------------------------------------------------------------
@@ -499,14 +528,14 @@ TEST(Alignment, KernelVisiblePlanesAre64ByteAligned) {
             0u);
 }
 
-TEST(Alignment, PairPlaneCachePlanesAre64ByteAligned) {
-  PairPlaneCache cache;
+TEST(Alignment, LadderRung2PlanesAre64ByteAligned) {
+  PrefixPlaneCache cache;
   for (const std::size_t words : {1u, 17u, 400u, 1000u}) {
-    cache.ensure(words);
+    cache.ensure(3, words);
     ASSERT_GE(cache.stride(), words);
     EXPECT_EQ(cache.stride() % dataset::kWordsPerVector, 0u) << words;
     for (int p = 0; p < 9; ++p) {
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(cache.planes() +
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(cache.rung(2) +
                                                  p * cache.stride()) %
                     kVectorAlign,
                 0u)
@@ -515,7 +544,7 @@ TEST(Alignment, PairPlaneCachePlanesAre64ByteAligned) {
   }
   // ensure() never shrinks: capacity stays usable by earlier chunks.
   const std::size_t grown = cache.stride();
-  cache.ensure(8);
+  cache.ensure(3, 8);
   EXPECT_EQ(cache.stride(), grown);
 }
 
@@ -576,7 +605,7 @@ TEST(Tiling, PairCacheFootprintStaysInsideTheL1Budget) {
                 block_budget)
           << "L1 " << l1.size_bytes << " vec " << vec;
       EXPECT_EQ(p.bp_words % vec, 0u);
-      // B_P lands on the PairPlaneCache stride granule, so the budgeted
+      // B_P lands on the PrefixPlaneCache stride granule, so the budgeted
       // footprint equals the allocated one (ensure() rounds the stride up
       // to whole AVX-512 registers).
       EXPECT_EQ(p.bp_words % dataset::kWordsPerVector, 0u);

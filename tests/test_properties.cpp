@@ -325,41 +325,6 @@ TEST(TopKProperty, MatchesFullSortOnRandomStreams) {
 }
 
 // --------------------------------------------------------------------------
-// Blocked engine degenerate configurations
-// --------------------------------------------------------------------------
-
-TEST(BlockedDegenerate, SingleBlockCoversWholeDataset) {
-  const auto d = random_dataset({7, 90, 69});
-  const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const core::TilingParams tiling{16, 8};  // bs > M: one block
-  core::BlockScratch scratch(16);
-  std::size_t count = 0;
-  core::scan_block_triple(
-      planes, tiling, core::get_kernel(core::KernelIsa::kScalar), scratch,
-      core::BlockTriple{0, 0, 0},
-      [&](const Triplet& t, const ContingencyTable& table) {
-        ++count;
-        ASSERT_EQ(table, reference_contingency(d, t.x, t.y, t.z));
-      });
-  EXPECT_EQ(count, combinatorics::num_triplets(7));
-}
-
-TEST(BlockedDegenerate, OutOfRangeBlockTripleIsEmpty) {
-  const auto d = random_dataset({6, 64, 71});
-  const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const core::TilingParams tiling{2, 8};
-  core::BlockScratch scratch(2);
-  int calls = 0;
-  core::scan_block_triple(planes, tiling,
-                          core::get_kernel(core::KernelIsa::kScalar), scratch,
-                          core::BlockTriple{9, 9, 9},
-                          [&](const Triplet&, const ContingencyTable&) {
-                            ++calls;
-                          });
-  EXPECT_EQ(calls, 0);
-}
-
-// --------------------------------------------------------------------------
 // Baseline/detector objective duality
 // --------------------------------------------------------------------------
 

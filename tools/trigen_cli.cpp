@@ -216,8 +216,8 @@ int cmd_generate(const Args& a) {
     return a.has("help") ? 0 : 2;
   }
   dataset::SyntheticSpec spec;
-  spec.num_snps = static_cast<std::size_t>(a.get_int("snps", 100));
-  spec.num_samples = static_cast<std::size_t>(a.get_int("samples", 1000));
+  spec.num_snps = get_uint_or_die(a, "snps", 100);
+  spec.num_samples = get_uint_or_die(a, "samples", 1000);
   spec.seed = static_cast<std::uint64_t>(a.get_int("seed", 42));
   spec.maf_min = a.get_double("maf-min", 0.05);
   spec.maf_max = a.get_double("maf-max", 0.5);
@@ -384,8 +384,8 @@ int cmd_scan_generic(const Args& a) {
   // `--version` fails instantly even on a multi-gigabyte input.
   typename Cli::DetectorOptions opt;
   opt.objective = parse_objective(a.get("objective", "k2"));
-  opt.top_k = static_cast<std::size_t>(a.get_int("top", 10));
-  opt.threads = static_cast<unsigned>(a.get_int("threads", 0));
+  opt.top_k = get_uint_or_die(a, "top", 10);
+  opt.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
   opt.version = parse_version(a);
   if (const auto isa = parse_isa_flag(a)) {
     opt.isa = *isa;
@@ -605,10 +605,11 @@ int cmd_baseline(const Args& a) {
     std::puts("usage: trigen baseline DATASET.tg[b] [--top K] [--threads T]");
     return 2;
   }
+  const auto threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 1));
+  const std::size_t top = get_uint_or_die(a, "top", 10);
   const auto d = load(a.positional[0]);
   baseline::Mpi3SnpEngine engine(d);
-  const auto r = engine.run(static_cast<unsigned>(a.get_int("threads", 1)),
-                            static_cast<std::size_t>(a.get_int("top", 10)));
+  const auto r = engine.run(threads, top);
   std::printf("# %llu triplets, %.3f s, %.2f Gel/s (MPI3SNP-style, MI)\n",
               static_cast<unsigned long long>(r.triplets_evaluated), r.seconds,
               r.elements_per_second() / 1e9);
@@ -663,15 +664,15 @@ int cmd_significance(const Args& a) {
                 combinatorics::kMaxOrder);
     return a.has("help") ? 0 : 2;
   }
-  const auto d = load(a.positional[0]);
   const auto permutations =
-      static_cast<unsigned>(a.get_int("permutations", 19));
+      static_cast<unsigned>(get_uint_or_die(a, "permutations", 19));
   const auto seed = static_cast<std::uint64_t>(a.get_int("seed", 7));
   const auto objective = parse_objective(a.get("objective", "k2"));
-  const auto threads = static_cast<unsigned>(a.get_int("threads", 0));
-  const auto batch = static_cast<unsigned>(a.get_int("batch", 0));
+  const auto threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
+  const auto batch = static_cast<unsigned>(get_uint_or_die(a, "batch", 0));
   const bool progress = a.has("progress");
   const auto isa = parse_isa_flag(a);
+  const auto d = load(a.positional[0]);
   switch (a.get_int("order", 3)) {
     case 2: return cmd_significance_of<2>(d, permutations, seed, objective, threads, batch, progress, isa);
     case 3: return cmd_significance_of<3>(d, permutations, seed, objective, threads, batch, progress, isa);
