@@ -307,14 +307,8 @@ void register_all() {
         ->Arg(2048)
         ->Arg(65536);
   }
-  // The order-4 generic family.  Vector strategies all dispatch to the
-  // widest compiled generic path (see get_generic_kernels), so one vector
-  // ISA representative plus scalar covers the distinct code paths.
-  std::vector<core::KernelIsa> generic_isas = {core::KernelIsa::kScalar};
-  if (core::best_kernel_isa() != core::KernelIsa::kScalar) {
-    generic_isas.push_back(core::best_kernel_isa());
-  }
-  for (const auto isa : generic_isas) {
+  // The order-4 generic family.
+  for (const auto isa : core::all_kernel_isas()) {
     const std::string tag = core::kernel_isa_name(isa);
     benchmark::RegisterBenchmark(
         ("tuple_block_k4/" + tag).c_str(),

@@ -80,6 +80,12 @@ message(STATUS "trigen SIMD variants: avx2=${TRIGEN_HAVE_AVX2} "
 # when the compiler does not support the tier.  Per-ISA TUs guard their
 # bodies on TRIGEN_KERNEL_<tier> (not on compiler macros like __AVX2__,
 # which MSVC's /arch model does not always define).
+#
+# Each (target, source) pair is recorded in the global properties
+# TRIGEN_ISA_TARGETS / TRIGEN_ISA_SOURCES for the
+# core.isa_objects_no_weak_symbols test (cmake/CheckIsaObjects.cmake): an ISA
+# object must define no weak symbol, or the linker may keep its
+# vector-flagged copy of an inline function for portable callers too.
 function(trigen_add_isa_source target tier source)
   if(NOT TRIGEN_HAVE_${tier})
     return()
@@ -88,4 +94,7 @@ function(trigen_add_isa_source target tier source)
   set_source_files_properties(${source}
     PROPERTIES COMPILE_OPTIONS "${TRIGEN_${tier}_FLAGS}")
   target_compile_definitions(${target} PRIVATE TRIGEN_KERNEL_${tier}=1)
+  set_property(GLOBAL APPEND PROPERTY TRIGEN_ISA_TARGETS ${target})
+  get_filename_component(_name ${source} NAME)
+  set_property(GLOBAL APPEND PROPERTY TRIGEN_ISA_SOURCES ${_name})
 endfunction()

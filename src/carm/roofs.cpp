@@ -42,9 +42,6 @@ void sink(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
 }  // namespace
 
 double measure_load_bandwidth(std::size_t bytes) {
-#if defined(TRIGEN_KERNEL_AVX2)
-  if (cpu_features().avx2) return detail::load_bandwidth_avx2(bytes);
-#endif
   const std::size_t words = std::max<std::size_t>(bytes / 8, 64);
   aligned_vector<std::uint64_t> buf(words, 0x5555555555555555ull);
 
@@ -55,6 +52,12 @@ double measure_load_bandwidth(std::size_t bytes) {
 
   std::uint64_t acc = 0;
   const double secs = time_best_of([&] {
+#if defined(TRIGEN_KERNEL_AVX2)
+    if (cpu_features().avx2) {
+      acc += detail::load_sweeps_avx2(buf.data(), words, reps);
+      return;
+    }
+#endif
     for (std::size_t r = 0; r < reps; ++r) {
       const std::uint64_t* p = buf.data();
       for (std::size_t i = 0; i < words; ++i) acc |= p[i];
@@ -84,17 +87,20 @@ double measure_scalar_add_peak() {
 }
 
 double measure_vector_add_peak(unsigned* lanes_out) {
+  // Four independent chains of `kIters` adds per call, as in the scalar
+  // probe.
+  constexpr std::uint64_t kIters = 1u << 20;
+  [[maybe_unused]] const auto peak = [&](unsigned lanes,
+                                         void (*adds)(std::uint64_t)) {
+    if (lanes_out != nullptr) *lanes_out = lanes;
+    const double secs = time_best_of([&] { adds(kIters); });
+    return 4.0 * lanes * static_cast<double>(kIters) / secs;
+  };
 #if defined(TRIGEN_KERNEL_AVX512)
-  if (cpu_features().avx512f) {
-    if (lanes_out != nullptr) *lanes_out = 16;
-    return detail::vector_add_peak_avx512();
-  }
+  if (cpu_features().avx512f) return peak(16, &detail::vector_adds_avx512);
 #endif
 #if defined(TRIGEN_KERNEL_AVX2)
-  if (cpu_features().avx2) {
-    if (lanes_out != nullptr) *lanes_out = 8;
-    return detail::vector_add_peak_avx2();
-  }
+  if (cpu_features().avx2) return peak(8, &detail::vector_adds_avx2);
 #endif
   if (lanes_out != nullptr) *lanes_out = 1;
   return measure_scalar_add_peak();

@@ -1,5 +1,5 @@
 /// \file roofs_avx2.cpp
-/// \brief AVX2 CARM micro-probes: 256-bit load bandwidth and add peak.
+/// \brief AVX2 CARM micro-probe loops: 256-bit loads and adds.
 ///
 /// Compiled with -mavx2 regardless of the global architecture flags; only
 /// executed after roofs.cpp confirms AVX2 support via cpu_features().
@@ -9,68 +9,41 @@
 #if defined(TRIGEN_KERNEL_AVX2)
 #include <immintrin.h>
 
-#include <algorithm>
-#include <cstdint>
-
-#include "trigen/common/aligned.hpp"
-#include "trigen/common/stopwatch.hpp"
-
 namespace trigen::carm::detail {
-namespace {
 
-/// Keeps the optimizer from discarding the probe loops.
-void sink(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
-
-}  // namespace
-
-double load_bandwidth_avx2(std::size_t bytes) {
-  const std::size_t words = std::max<std::size_t>(bytes / 8, 64);
-  aligned_vector<std::uint64_t> buf(words, 0x5555555555555555ull);
-
-  // Enough sweeps that one measurement lasts >= ~5 ms even from L1.
-  const std::size_t sweep_bytes = words * 8;
-  const std::size_t reps = std::max<std::size_t>(
-      1, (1u << 26) / std::max<std::size_t>(1, sweep_bytes));
-
+std::uint64_t load_sweeps_avx2(const std::uint64_t* p, std::size_t words,
+                               std::size_t reps) {
   std::uint64_t acc = 0;
-  const double secs = time_best_of([&] {
-    for (std::size_t r = 0; r < reps; ++r) {
-      const std::uint64_t* p = buf.data();
-      __m256i a0 = _mm256_setzero_si256();
-      __m256i a1 = _mm256_setzero_si256();
-      std::size_t i = 0;
-      for (; i + 8 <= words; i += 8) {
-        a0 = _mm256_or_si256(
-            a0, _mm256_load_si256(reinterpret_cast<const __m256i*>(p + i)));
-        a1 = _mm256_or_si256(
-            a1, _mm256_load_si256(reinterpret_cast<const __m256i*>(p + i + 4)));
-      }
-      acc += static_cast<std::uint64_t>(
-          _mm256_extract_epi64(_mm256_or_si256(a0, a1), 0));
-      for (; i < words; ++i) acc |= p[i];
-      sink(&acc);
+  for (std::size_t r = 0; r < reps; ++r) {
+    __m256i a0 = _mm256_setzero_si256();
+    __m256i a1 = _mm256_setzero_si256();
+    std::size_t i = 0;
+    for (; i + 8 <= words; i += 8) {
+      a0 = _mm256_or_si256(
+          a0, _mm256_load_si256(reinterpret_cast<const __m256i*>(p + i)));
+      a1 = _mm256_or_si256(
+          a1, _mm256_load_si256(reinterpret_cast<const __m256i*>(p + i + 4)));
     }
-  });
-  sink(&acc);
-  return static_cast<double>(sweep_bytes) * static_cast<double>(reps) / secs;
+    acc += static_cast<std::uint64_t>(
+        _mm256_extract_epi64(_mm256_or_si256(a0, a1), 0));
+    for (; i < words; ++i) acc |= p[i];
+    // Keeps the optimizer from discarding the sweep.
+    asm volatile("" : : "g"(&acc) : "memory");
+  }
+  return acc;
 }
 
-double vector_add_peak_avx2() {
-  constexpr std::uint64_t kIters = 1u << 20;
-  constexpr unsigned kLanes = 8;
+void vector_adds_avx2(std::uint64_t iters) {
   __m256i a = _mm256_set1_epi32(1), b = _mm256_set1_epi32(2),
           c = _mm256_set1_epi32(3), d = _mm256_set1_epi32(4);
   const __m256i inc = _mm256_set1_epi32(1);
-  const double secs = time_best_of([&] {
-    for (std::uint64_t i = 0; i < kIters; ++i) {
-      a = _mm256_add_epi32(a, inc);
-      b = _mm256_add_epi32(b, inc);
-      c = _mm256_add_epi32(c, inc);
-      d = _mm256_add_epi32(d, inc);
-      asm volatile("" : "+x"(a), "+x"(b), "+x"(c), "+x"(d));
-    }
-  });
-  return 4.0 * kLanes * static_cast<double>(kIters) / secs;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    a = _mm256_add_epi32(a, inc);
+    b = _mm256_add_epi32(b, inc);
+    c = _mm256_add_epi32(c, inc);
+    d = _mm256_add_epi32(d, inc);
+    asm volatile("" : "+x"(a), "+x"(b), "+x"(c), "+x"(d));
+  }
 }
 
 }  // namespace trigen::carm::detail

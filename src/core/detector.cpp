@@ -133,17 +133,7 @@ make_normalized_scorer_of(Objective o, std::uint32_t num_samples) {
   }
 }
 
-namespace {
-
-unsigned resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-/// V1 evaluation at any order from the naive Fig.-1 layout: per-cell
-/// genotype-plane ANDs against the phenotype / negated phenotype plane.
-/// Zero-padded genotype planes contribute nothing, so no pad correction.
+// Zero-padded genotype planes contribute nothing, so no pad correction.
 template <unsigned K>
 scoring::BasicContingencyTable<K> contingency_v1_of(
     const dataset::BitPlanesV1& p, const Combination<K>& s) {
@@ -168,6 +158,14 @@ scoring::BasicContingencyTable<K> contingency_v1_of(
     t.counts[1][cell] = cases;
   }
   return t;
+}
+
+namespace {
+
+unsigned resolve_threads(unsigned requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
 }
 
 /// V2 evaluation at any order: the order's direct leaf kernel over the
@@ -252,6 +250,13 @@ ScanPlan<K> plan_scan(const BasicDetectorOptions<K>& options, bool vector_isa,
 }  // namespace
 
 template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_split_of(
+    const dataset::PhenoSplitPlanes& p, const Combination<K>& snps,
+    KernelIsa isa) {
+  return contingency_split_of<K>(p, snps, EngineKernels::of(isa));
+}
+
+template <unsigned K>
 scoring::BasicContingencyTable<K> BasicDetector<K>::contingency(
     const Combination<K>& snps, KernelIsa isa) const {
   for (unsigned i = 0; i < K; ++i) {
@@ -259,7 +264,7 @@ scoring::BasicContingencyTable<K> BasicDetector<K>::contingency(
       throw std::out_of_range("Detector::contingency: bad SNP indices");
     }
   }
-  return contingency_split_of<K>(impl_->split, snps, EngineKernels::of(isa));
+  return contingency_split_of<K>(impl_->split, snps, isa);
 }
 
 template <unsigned K>
@@ -443,6 +448,27 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   }
   return result;
 }
+
+template scoring::BasicContingencyTable<2> contingency_v1_of<2>(
+    const dataset::BitPlanesV1&, const Combination<2>&);
+template scoring::BasicContingencyTable<2> contingency_split_of<2>(
+    const dataset::PhenoSplitPlanes&, const Combination<2>&, KernelIsa);
+template scoring::BasicContingencyTable<3> contingency_v1_of<3>(
+    const dataset::BitPlanesV1&, const Combination<3>&);
+template scoring::BasicContingencyTable<3> contingency_split_of<3>(
+    const dataset::PhenoSplitPlanes&, const Combination<3>&, KernelIsa);
+template scoring::BasicContingencyTable<4> contingency_v1_of<4>(
+    const dataset::BitPlanesV1&, const Combination<4>&);
+template scoring::BasicContingencyTable<4> contingency_split_of<4>(
+    const dataset::PhenoSplitPlanes&, const Combination<4>&, KernelIsa);
+template scoring::BasicContingencyTable<5> contingency_v1_of<5>(
+    const dataset::BitPlanesV1&, const Combination<5>&);
+template scoring::BasicContingencyTable<5> contingency_split_of<5>(
+    const dataset::PhenoSplitPlanes&, const Combination<5>&, KernelIsa);
+template scoring::BasicContingencyTable<6> contingency_v1_of<6>(
+    const dataset::BitPlanesV1&, const Combination<6>&);
+template scoring::BasicContingencyTable<6> contingency_split_of<6>(
+    const dataset::PhenoSplitPlanes&, const Combination<6>&, KernelIsa);
 
 template class BasicDetector<2>;
 template class BasicDetector<3>;

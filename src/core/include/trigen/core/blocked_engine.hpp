@@ -119,19 +119,19 @@ class PrefixPlaneCache {
 };
 
 /// The order -> leaf-kernel mapping of the blocked walks, for one
-/// vectorization strategy.  Every order keeps its hand-tuned kernels at
-/// the leaf:
+/// vectorization strategy:
 ///
 ///  * K = 2: the counts-only pair kernel (the chunk popcounts of the nine
 ///    x∩y intersections are the pair table), for every rung;
-///  * K = 3: the per-ISA triple-block kernel (direct) and the per-ISA
-///    cached kernel over the ladder's rung 2 (V5 final rung), so the order
-///    the paper measures keeps its AVX-512 variants on the hot path;
+///  * K = 3: the triple-block kernel (direct) and the cached kernel over
+///    the ladder's rung 2 (V5 final rung);
 ///  * K >= 4: the order-generic kernels (direct tuple kernel; ladder
 ///    extension and final rung).
 ///
-/// The ladder's rung 2 is always built by the per-ISA pair-plane build
-/// kernel; the batched engines add the batch kernels.
+/// Each is one body of src/core/kernel_bodies.hpp: the direct kernel at
+/// k = 2, 3 or K, the final rung at count 9 or 3^(K-1).  The ladder's
+/// rung 2 is always built by the pair-plane build kernel; the batched
+/// engines add the batch kernels.
 struct EngineKernels {
   TripleBlockKernel triple = nullptr;
   CachedKernelSet cached;

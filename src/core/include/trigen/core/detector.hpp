@@ -238,6 +238,23 @@ class BasicDetector {
 /// with.
 using Detector = BasicDetector<3>;
 
+/// V1 evaluation of one combination from the naive Fig.-1 layout:
+/// per-cell genotype-plane ANDs against the phenotype and negated
+/// phenotype planes.
+template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_v1_of(
+    const dataset::BitPlanesV1& p, const combinatorics::Combination<K>& snps);
+
+/// V2 evaluation of one combination from the phenotype-split layout: the
+/// order's direct kernel for `isa` over each class's full sample range,
+/// with the padding correction applied.  Both evaluators are instantiated
+/// in detector.cpp for every order in [2, kMaxOrder].
+template <unsigned K>
+scoring::BasicContingencyTable<K> contingency_split_of(
+    const dataset::PhenoSplitPlanes& p,
+    const combinatorics::Combination<K>& snps,
+    KernelIsa isa = KernelIsa::kScalar);
+
 extern template class BasicDetector<2>;
 extern template class BasicDetector<3>;
 extern template class BasicDetector<4>;

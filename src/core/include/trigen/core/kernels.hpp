@@ -13,10 +13,12 @@
 ///    by NOR, there is no phenotype AND, and the word range allows the
 ///    blocked engine (V3/V4/V5) to tile the sample dimension.
 ///
-/// The triple-block kernel has one implementation per vectorization
-/// strategy (scalar, AVX2, AVX-512 + extracts, AVX-512 + VPOPCNTDQ),
-/// matching the per-ISA strategies of the paper's V4; the scalar
-/// implementation doubles as the V2/V3 kernel.
+/// Every kernel family below exists once per vectorization strategy
+/// (scalar, AVX2 + extracts, AVX2 + Harley-Seal, AVX-512 + extracts,
+/// AVX-512 + VPOPCNTDQ), matching the per-ISA strategies of the paper's V4;
+/// the scalar strategy doubles as the V2/V3 kernel.  The strategies differ
+/// only in how set bits are counted, so each family is written once over a
+/// popcount strategy (src/core/kernel_bodies.hpp) and instantiated per ISA.
 ///
 /// The **V5 pair-plane-cached** kernels split the work in two phases so
 /// the x∩y intersections are computed once per (x, y) instead of once per
@@ -27,8 +29,7 @@
 /// |xy∩z2| = |xy| - |xy∩z0| - |xy∩z1|: the cached kernel needs only 18
 /// ANDs + 18 POPCNTs per word against V4's 42 ANDs + 27 POPCNTs, never
 /// materializes the z NOR plane, and streams two plane operands instead
-/// of six.  Both phases exist per ISA and are exact, so V5 is
-/// bit-identical to V2-V4.
+/// of six.  Both phases are exact, so V5 is bit-identical to V2-V4.
 ///
 /// NOR padding: plane tail bits are zero, so the inferred genotype-2 plane
 /// has ones there and the kernels over-count cell (2,2,2) by exactly the
@@ -115,10 +116,11 @@ struct CachedKernelSet {
 // materializes planes at all: |P∩z2| = |P| - |P∩z0| - |P∩z1|, exactly the
 // triple-cached kernel with 3^(K-2) prefixes instead of 9.  The blocked
 // walks take their leaf kernel per order (core::EngineKernels): the
-// counts-only pair kernel above at K = 2, the per-ISA triple-block and
-// cached kernels above at K = 3, and these runtime-count variants at
-// K >= 4 (scalar + AVX2; the AVX-512 strategies dispatch to the widest
-// compiled generic path).
+// counts-only pair kernel above at K = 2, the triple-block and cached
+// kernels above at K = 3, and these runtime-count variants at K >= 4.
+// They are the same bodies: the pair count and triple block are the
+// direct kernel at k = 2 and 3, the cached kernel is the final rung at
+// count 9.
 
 /// Ladder extension: for each of `count` cached prefix planes
 /// (`prefix[t*stride + rel]`, rel in [0, w_end - w_begin)), writes the
@@ -219,11 +221,13 @@ struct BatchKernelSet {
 
 /// Vectorization strategy of the triple-block kernel.
 enum class KernelIsa {
-  kScalar,         ///< 32-bit words, builtin POPCNT (V2/V3 and AVX-less V4)
+  kScalar,         ///< 32-bit words, software popcount: compiled without
+                   ///< ISA flags, so no POPCNT instruction (V2/V3 and
+                   ///< AVX-less V4)
   kAvx2,           ///< 256-bit AND/NOR, 4x extract + scalar POPCNT
-  kAvx2HarleySeal, ///< 256-bit AND/NOR, vpshufb nibble-LUT popcount
-                   ///< (ablation: the SWAR alternative to extract+POPCNT
-                   ///< on AVX CPUs without vector POPCNT)
+  kAvx2HarleySeal, ///< 256-bit AND/NOR, vpshufb nibble-LUT popcount (the
+                   ///< SWAR alternative to extract+POPCNT; the best
+                   ///< strategy on AVX2 hosts without AVX-512)
   kAvx512Extract,  ///< 512-bit AND/NOR, extracti64x4 + extract + scalar POPCNT
   kAvx512Vpopcnt,  ///< 512-bit AND/NOR, VPOPCNTDQ + per-cell reduce
 };
@@ -234,7 +238,8 @@ const std::vector<KernelIsa>& all_kernel_isas();
 /// True when the host CPU can execute `isa`.
 bool kernel_available(KernelIsa isa);
 
-/// Widest strategy available on the host.
+/// Widest strategy available on the host: the last of all_kernel_isas()
+/// that kernel_available() accepts.
 KernelIsa best_kernel_isa();
 
 std::string kernel_isa_name(KernelIsa isa);
@@ -255,42 +260,17 @@ TripleBlockKernel get_kernel(KernelIsa isa);
 CachedKernelSet get_cached_kernels(KernelIsa isa);
 
 /// Fetch the order-generic kernel family for `isa`; throws
-/// std::runtime_error if unavailable.  The scalar strategy maps to the
-/// scalar generics; every vector strategy maps to the widest compiled
-/// generic path (AVX2 when built, scalar otherwise) — any host that can
-/// execute an AVX-512 strategy can execute AVX2, and the generics are
-/// exact on every path.
+/// std::runtime_error if unavailable.
 GenericKernelSet get_generic_kernels(KernelIsa isa);
 
 /// Fetch the batched multi-phenotype kernels for `isa`; throws
-/// std::runtime_error if unavailable.  The scalar strategy maps to the
-/// scalar batch kernels; both AVX2 strategies share one LUT-based variant
-/// (per-dword popcounts need the nibble LUT regardless of the triple
-/// kernel's popcount strategy); the AVX-512 strategies keep dedicated
-/// variants.  Every variant is exact, so batched scans are bit-identical
-/// across the mapping.
+/// std::runtime_error if unavailable.  The per-dword popcounts they need
+/// come from the nibble LUT on AVX2 (both strategies) and AVX-512 +
+/// extracts, and from VPOPCNTD on AVX-512 + VPOPCNTDQ.
 BatchKernelSet get_batch_kernels(KernelIsa isa);
 
 /// Words processed per kernel iteration (1, 8 or 16): callers sizing word
 /// blocks should use multiples of this for full-vector main loops.
 std::size_t kernel_vector_words(KernelIsa isa);
-
-// ---------------------------------------------------------------------------
-// Whole-triplet conveniences
-// ---------------------------------------------------------------------------
-
-/// V1: naive evaluation from the Fig.-1 layout (AND with the phenotype /
-/// negated phenotype planes, all three genotype planes explicit).
-scoring::ContingencyTable contingency_v1(const dataset::BitPlanesV1& p,
-                                         std::size_t x, std::size_t y,
-                                         std::size_t z);
-
-/// V2+: evaluation from the phenotype-split layout using the triple-block
-/// kernel for `isa` over the full sample range, with the (2,2,2) padding
-/// correction applied.
-scoring::ContingencyTable contingency_split(const dataset::PhenoSplitPlanes& p,
-                                            std::size_t x, std::size_t y,
-                                            std::size_t z,
-                                            KernelIsa isa = KernelIsa::kScalar);
 
 }  // namespace trigen::core

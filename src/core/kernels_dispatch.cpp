@@ -90,119 +90,50 @@ std::optional<KernelIsa> parse_kernel_isa(const std::string& name) {
   return std::nullopt;
 }
 
-TripleBlockKernel get_kernel(KernelIsa isa) {
+namespace {
+
+/// The kernel table of `isa`; throws std::runtime_error if unavailable.
+const detail::KernelTable& table_of(KernelIsa isa) {
   if (!kernel_available(isa)) {
     throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
                              "' not available on this host");
   }
   switch (isa) {
     case KernelIsa::kScalar:
-      return &detail::triple_block_scalar;
+      return detail::kScalarKernels;
 #if defined(TRIGEN_KERNEL_AVX2)
     case KernelIsa::kAvx2:
-      return &detail::triple_block_avx2;
+      return detail::kAvx2Kernels;
     case KernelIsa::kAvx2HarleySeal:
-      return &detail::triple_block_avx2_harley_seal;
+      return detail::kAvx2HarleySealKernels;
 #endif
 #if defined(TRIGEN_KERNEL_AVX512)
     case KernelIsa::kAvx512Extract:
-      return &detail::triple_block_avx512_extract;
+      return detail::kAvx512ExtractKernels;
 #endif
 #if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
     case KernelIsa::kAvx512Vpopcnt:
-      return &detail::triple_block_avx512_vpopcnt;
+      return detail::kAvx512VpopcntKernels;
 #endif
     default:
       throw std::runtime_error("kernel not compiled in");
   }
 }
 
+}  // namespace
+
+TripleBlockKernel get_kernel(KernelIsa isa) { return table_of(isa).triple; }
+
 CachedKernelSet get_cached_kernels(KernelIsa isa) {
-  if (!kernel_available(isa)) {
-    throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
-                             "' not available on this host");
-  }
-  switch (isa) {
-    case KernelIsa::kScalar:
-      return {&detail::pair_plane_build_scalar,
-              &detail::triple_block_cached_scalar,
-              &detail::pair_plane_count_scalar};
-#if defined(TRIGEN_KERNEL_AVX2)
-    case KernelIsa::kAvx2:
-      return {&detail::pair_plane_build_avx2,
-              &detail::triple_block_cached_avx2,
-              &detail::pair_plane_count_avx2};
-    case KernelIsa::kAvx2HarleySeal:
-      return {&detail::pair_plane_build_avx2_harley_seal,
-              &detail::triple_block_cached_avx2_harley_seal,
-              &detail::pair_plane_count_avx2_harley_seal};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512)
-    case KernelIsa::kAvx512Extract:
-      return {&detail::pair_plane_build_avx512_extract,
-              &detail::triple_block_cached_avx512_extract,
-              &detail::pair_plane_count_avx512_extract};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
-    case KernelIsa::kAvx512Vpopcnt:
-      return {&detail::pair_plane_build_avx512_vpopcnt,
-              &detail::triple_block_cached_avx512_vpopcnt,
-              &detail::pair_plane_count_avx512_vpopcnt};
-#endif
-    default:
-      throw std::runtime_error("kernel not compiled in");
-  }
+  return table_of(isa).cached;
 }
 
 GenericKernelSet get_generic_kernels(KernelIsa isa) {
-  if (!kernel_available(isa)) {
-    throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
-                             "' not available on this host");
-  }
-  // Scalar stays scalar; every vector strategy maps to the widest compiled
-  // generic path.  An AVX-512-capable host always executes AVX2, and every
-  // variant is exact, so results are bit-identical across the mapping.
-  if (isa == KernelIsa::kScalar) {
-    return {&detail::prefix_extend_scalar, &detail::prefix_final_scalar,
-            &detail::tuple_block_scalar};
-  }
-#if defined(TRIGEN_KERNEL_AVX2)
-  return {&detail::prefix_extend_avx2, &detail::prefix_final_avx2,
-          &detail::tuple_block_avx2};
-#else
-  return {&detail::prefix_extend_scalar, &detail::prefix_final_scalar,
-          &detail::tuple_block_scalar};
-#endif
+  return table_of(isa).generic;
 }
 
 BatchKernelSet get_batch_kernels(KernelIsa isa) {
-  if (!kernel_available(isa)) {
-    throw std::runtime_error("kernel '" + kernel_isa_name(isa) +
-                             "' not available on this host");
-  }
-  switch (isa) {
-    case KernelIsa::kScalar:
-      return {&detail::batch_label_pops_scalar, &detail::batch_final_scalar};
-#if defined(TRIGEN_KERNEL_AVX2)
-    case KernelIsa::kAvx2:
-    case KernelIsa::kAvx2HarleySeal:
-      // Per-dword popcounts need the nibble LUT regardless of the triple
-      // kernel's popcount strategy, so both AVX2 variants share one batch
-      // implementation (exact, hence bit-identical across the mapping).
-      return {&detail::batch_label_pops_avx2, &detail::batch_final_avx2};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512)
-    case KernelIsa::kAvx512Extract:
-      return {&detail::batch_label_pops_avx512, &detail::batch_final_avx512};
-#endif
-#if defined(TRIGEN_KERNEL_AVX512VPOPCNT)
-    case KernelIsa::kAvx512Vpopcnt:
-      return {&detail::batch_label_pops_avx512_vpopcnt,
-              &detail::batch_final_avx512_vpopcnt};
-#endif
-    default:
-      throw std::runtime_error("kernel not compiled in");
-  }
+  return table_of(isa).batch;
 }
 
 std::size_t kernel_vector_words(KernelIsa isa) {

@@ -2,11 +2,21 @@
 
 #include <bit>
 
-#include "trigen/core/kernels.hpp"
+#include "trigen/core/detector.hpp"
 
 namespace trigen::gpusim {
 
 using dataset::Word;
+
+namespace {
+
+combinatorics::Combination<3> triplet(std::size_t x, std::size_t y,
+                                      std::size_t z) {
+  return {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y),
+          static_cast<std::uint32_t>(z)};
+}
+
+}  // namespace
 
 std::string gpu_version_name(GpuVersion v) {
   switch (v) {
@@ -23,13 +33,13 @@ scoring::ContingencyTable gpu_thread_v1(const dataset::BitPlanesV1& p,
                                         std::size_t z) {
   // Identical arithmetic to the CPU V1 kernel; on the GPU this is executed
   // by one thread with strided (gather-like) loads.
-  return core::contingency_v1(p, x, y, z);
+  return core::contingency_v1_of<3>(p, triplet(x, y, z));
 }
 
 scoring::ContingencyTable gpu_thread_v2(const dataset::PhenoSplitPlanes& p,
                                         std::size_t x, std::size_t y,
                                         std::size_t z) {
-  return core::contingency_split(p, x, y, z, core::KernelIsa::kScalar);
+  return core::contingency_split_of<3>(p, triplet(x, y, z));
 }
 
 namespace {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <random>
@@ -145,6 +146,12 @@ TEST(KernelRegistry, KernelIsaParsesEveryName) {
 
 class KernelShapeTest : public ::testing::TestWithParam<Shape> {};
 
+combinatorics::Combination<3> triplet(std::size_t x, std::size_t y,
+                                      std::size_t z) {
+  return {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y),
+          static_cast<std::uint32_t>(z)};
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, KernelShapeTest,
                          ::testing::ValuesIn(small_shapes()));
 
@@ -155,7 +162,7 @@ TEST_P(KernelShapeTest, V1MatchesReferenceForAllTriplets) {
   for (std::size_t x = 0; x < m; ++x) {
     for (std::size_t y = x + 1; y < m; ++y) {
       for (std::size_t z = y + 1; z < m; ++z) {
-        ASSERT_EQ(contingency_v1(planes, x, y, z),
+        ASSERT_EQ(contingency_v1_of<3>(planes, triplet(x, y, z)),
                   reference_contingency(d, x, y, z))
             << x << "," << y << "," << z;
       }
@@ -172,7 +179,7 @@ TEST_P(KernelShapeTest, SplitKernelMatchesReferenceForEveryIsa) {
     for (std::size_t x = 0; x < m; ++x) {
       for (std::size_t y = x + 1; y < m; ++y) {
         for (std::size_t z = y + 1; z < m; ++z) {
-          ASSERT_EQ(contingency_split(planes, x, y, z, isa),
+          ASSERT_EQ(contingency_split_of<3>(planes, triplet(x, y, z), isa),
                     reference_contingency(d, x, y, z))
               << kernel_isa_name(isa) << " " << x << "," << y << "," << z;
         }
@@ -217,63 +224,138 @@ TEST_P(KernelShapeTest, CachedKernelMatchesReferenceForEveryIsa) {
   }
 }
 
-TEST(Kernels, CachedKernelWordSubrangesCompose) {
-  // Accumulating chunk [0, mid) and [mid, words) through separate
-  // build+cached calls must equal one full-range call (the blocked V5
-  // engine streams exactly such chunks).
-  const auto d = random_dataset({6, 200, 17});
-  const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
-  PrefixPlaneCache cache;
-  for (int c = 0; c < 2; ++c) {
-    const std::size_t words = planes.words(c);
-    cache.ensure(3, words);
-    std::uint32_t full[27] = {};
-    std::uint32_t split_acc[27] = {};
-    std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-    ks.build(planes.plane(c, 0, 0), planes.plane(c, 0, 1),
-             planes.plane(c, 1, 0), planes.plane(c, 1, 1), 0, words,
-             cache.rung(2), cache.stride(), cache.rung_pops(2));
-    ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
-              planes.plane(c, 2, 0), planes.plane(c, 2, 1), 0, words, full);
-    const std::size_t mid = words / 2;
-    for (const auto range :
-         {std::pair<std::size_t, std::size_t>{0, mid},
-          std::pair<std::size_t, std::size_t>{mid, words}}) {
-      std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
-      ks.build(planes.plane(c, 0, 0), planes.plane(c, 0, 1),
-               planes.plane(c, 1, 0), planes.plane(c, 1, 1), range.first,
-               range.second, cache.rung(2), cache.stride(),
-               cache.rung_pops(2));
-      ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
-                planes.plane(c, 2, 0), planes.plane(c, 2, 1), range.first,
-                range.second, split_acc);
-    }
-    for (int i = 0; i < 27; ++i) ASSERT_EQ(full[i], split_acc[i]) << i;
-  }
-}
+TEST(Kernels, EveryFamilyComposesOverWordSubrangesOnEveryIsa) {
+  // Every kernel family, on every available ISA, accumulated over the
+  // chunks [0, 21) and [21, words) must equal one full-range call (the
+  // blocked engines stream exactly such chunks) and the scalar strategy.
+  // 21 is no multiple of 8 or 16, so both chunks end in a partial vector.
+  const auto d = random_dataset({6, 1500, 17});
+  const auto planes = dataset::PhenoSplitPlanes::build_combined(d);
+  const std::size_t words = planes.words(0);
+  constexpr std::size_t kCut = 21;
+  ASSERT_GT(words, kCut + 16);
+  const auto g0 = [&](std::size_t snp) { return planes.plane(0, snp, 0); };
+  const auto g1 = [&](std::size_t snp) { return planes.plane(0, snp, 1); };
 
-TEST(Kernels, SplitKernelWordSubrangesCompose) {
-  // Accumulating [0, w1) and [w1, words) must equal one full-range call
-  // (before padding correction, which contingency_split applies once).
-  const auto d = random_dataset({6, 200, 17});
-  const auto planes = dataset::PhenoSplitPlanes::build(d);
-  const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
-  for (int c = 0; c < 2; ++c) {
-    const std::size_t words = planes.words(c);
-    std::uint32_t full[27] = {};
-    std::uint32_t split_acc[27] = {};
-    kernel(planes.plane(c, 0, 0), planes.plane(c, 0, 1), planes.plane(c, 1, 0),
-           planes.plane(c, 1, 1), planes.plane(c, 2, 0), planes.plane(c, 2, 1),
-           0, words, full);
-    const std::size_t mid = words / 2;
-    kernel(planes.plane(c, 0, 0), planes.plane(c, 0, 1), planes.plane(c, 1, 0),
-           planes.plane(c, 1, 1), planes.plane(c, 2, 0), planes.plane(c, 2, 1),
-           0, mid, split_acc);
-    kernel(planes.plane(c, 0, 0), planes.plane(c, 0, 1), planes.plane(c, 1, 0),
-           planes.plane(c, 1, 1), planes.plane(c, 2, 0), planes.plane(c, 2, 1),
-           mid, words, split_acc);
-    for (int i = 0; i < 27; ++i) ASSERT_EQ(full[i], split_acc[i]) << i;
+  // 19 partitions: a partial label group on both vector widths.
+  std::mt19937 rng(5);
+  std::vector<std::vector<dataset::Phenotype>> parts(
+      19, std::vector<dataset::Phenotype>(d.num_samples()));
+  for (auto& part : parts) {
+    for (auto& l : part) l = static_cast<dataset::Phenotype>(rng() & 1);
+  }
+  const auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+  const std::size_t label_cells = 9 * batch.stride();
+
+  using Out = std::vector<std::uint32_t>;
+  using Run = std::function<void(const EngineKernels&, std::size_t,
+                                 std::size_t, Out&)>;
+  PrefixPlaneCache cache;
+  cache.ensure(4, words);
+  // The chunk's rung-2 (SNPs 0, 1) and rung-3 (+ SNP 2) planes and pops.
+  const auto rung2 = [&](const EngineKernels& k, std::size_t w0,
+                         std::size_t w1) {
+    k.build_rung2(cache, g0(0), g1(0), g0(1), g1(1), w0, w1);
+  };
+  const auto rung3 = [&](const EngineKernels& k, std::size_t w0,
+                         std::size_t w1) {
+    rung2(k, w0, w1);
+    k.extend_rung(cache, 2, g0(2), g1(2), w0, w1, true);
+  };
+  // Rung j's chunk planes at their absolute words, then its pops.
+  const auto append_rung = [&](unsigned j, std::size_t count, std::size_t w0,
+                               std::size_t w1, Out& out) {
+    out.resize(count * (words + 1));
+    for (std::size_t t = 0; t < count; ++t) {
+      for (std::size_t w = w0; w < w1; ++w) {
+        out[t * words + w] = cache.rung(j)[t * cache.stride() + (w - w0)];
+      }
+      out[count * words + t] += cache.rung_pops(j)[t];
+    }
+  };
+  const auto label_pops = [&](const EngineKernels& k, std::size_t w0,
+                              std::size_t w1) {
+    Out pops(label_cells, 0);
+    k.batch.label_pops(cache.rung(2), 9, cache.stride(), batch.word_labels(),
+                       batch.size(), batch.stride(), w0, w1, pops.data());
+    return pops;
+  };
+
+  const std::vector<std::pair<std::string, Run>> families = {
+      {"direct k=2",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         out.resize(9);
+         k.direct<2>({g0(0), g0(1)}, {g1(0), g1(1)}, w0, w1, out.data());
+       }},
+      {"direct k=3",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         out.resize(27);
+         k.direct<3>({g0(0), g0(1), g0(2)}, {g1(0), g1(1), g1(2)}, w0, w1,
+                     out.data());
+       }},
+      {"direct k=4",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         out.resize(81);
+         k.direct<4>({g0(0), g0(1), g0(2), g0(3)},
+                     {g1(0), g1(1), g1(2), g1(3)}, w0, w1, out.data());
+       }},
+      {"pair-plane build",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         rung2(k, w0, w1);
+         append_rung(2, 9, w0, w1, out);
+       }},
+      {"ladder extend",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         rung3(k, w0, w1);
+         append_rung(3, 27, w0, w1, out);
+       }},
+      {"build + final, count 9",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         out.resize(27);
+         rung2(k, w0, w1);
+         k.final_rung<3>(cache, g0(2), g1(2), w0, w1, out.data());
+       }},
+      {"build + extend + final, count 27",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         out.resize(81);
+         rung3(k, w0, w1);
+         k.final_rung<4>(cache, g0(3), g1(3), w0, w1, out.data());
+       }},
+      {"batch label pops",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         out.resize(label_cells);
+         rung2(k, w0, w1);
+         const Out pops = label_pops(k, w0, w1);
+         for (std::size_t i = 0; i < label_cells; ++i) out[i] += pops[i];
+       }},
+      {"batch finalize",
+       [&](const EngineKernels& k, std::size_t w0, std::size_t w1, Out& out) {
+         out.resize((1 + batch.size()) * 27);
+         rung2(k, w0, w1);
+         const Out pops = label_pops(k, w0, w1);
+         k.batch.finalize(cache.rung(2), 9, cache.stride(), cache.rung_pops(2),
+                          pops.data(), g0(2), g1(2), batch.word_labels(),
+                          batch.size(), batch.stride(), w0, w1, out.data(),
+                          27);
+       }},
+  };
+
+  for (const auto& [name, run] : families) {
+    SCOPED_TRACE(name);
+    Out scalar;
+    run(EngineKernels::of(KernelIsa::kScalar), 0, words, scalar);
+    for (const KernelIsa isa : all_kernel_isas()) {
+      if (!kernel_available(isa)) continue;
+      SCOPED_TRACE(kernel_isa_name(isa));
+      const EngineKernels k = EngineKernels::of(isa);
+      Out full;
+      run(k, 0, words, full);
+      Out split;
+      run(k, 0, kCut, split);
+      run(k, kCut, words, split);
+      EXPECT_EQ(full, scalar);
+      EXPECT_EQ(split, scalar);
+    }
   }
 }
 

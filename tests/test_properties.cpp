@@ -95,7 +95,7 @@ TEST(Linearity, DuplicatingSamplesDoublesCounts) {
   // Check through the kernel path too.
   const auto planes = dataset::PhenoSplitPlanes::build(doubled);
   const ContingencyTable kernel_twice =
-      core::contingency_split(planes, 0, 2, 4);
+      core::contingency_split_of<3>(planes, {0, 2, 4});
   for (int c = 0; c < 2; ++c) {
     for (int i = 0; i < scoring::kCells; ++i) {
       const auto cs = static_cast<std::size_t>(c);
