@@ -224,6 +224,66 @@ TEST_P(KernelShapeTest, CachedKernelMatchesReferenceForEveryIsa) {
   }
 }
 
+TEST(Kernels, CachedKernelWordSubrangesCompose) {
+  // Accumulating chunk [0, mid) and [mid, words) through separate
+  // build+cached calls must equal one full-range call (the blocked V5
+  // engine streams exactly such chunks).
+  const auto d = random_dataset({6, 200, 17});
+  const auto planes = dataset::PhenoSplitPlanes::build(d);
+  const CachedKernelSet ks = get_cached_kernels(KernelIsa::kScalar);
+  PrefixPlaneCache cache;
+  for (int c = 0; c < 2; ++c) {
+    const std::size_t words = planes.words(c);
+    cache.ensure(3, words);
+    std::uint32_t full[27] = {};
+    std::uint32_t split_acc[27] = {};
+    std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
+    ks.build(planes.plane(c, 0, 0), planes.plane(c, 0, 1),
+             planes.plane(c, 1, 0), planes.plane(c, 1, 1), 0, words,
+             cache.rung(2), cache.stride(), cache.rung_pops(2));
+    ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
+              planes.plane(c, 2, 0), planes.plane(c, 2, 1), 0, words, full);
+    const std::size_t mid = words / 2;
+    for (const auto range :
+         {std::pair<std::size_t, std::size_t>{0, mid},
+          std::pair<std::size_t, std::size_t>{mid, words}}) {
+      std::fill(cache.rung_pops(2), cache.rung_pops(2) + 9, 0u);
+      ks.build(planes.plane(c, 0, 0), planes.plane(c, 0, 1),
+               planes.plane(c, 1, 0), planes.plane(c, 1, 1), range.first,
+               range.second, cache.rung(2), cache.stride(),
+               cache.rung_pops(2));
+      ks.cached(cache.rung(2), cache.stride(), cache.rung_pops(2),
+                planes.plane(c, 2, 0), planes.plane(c, 2, 1), range.first,
+                range.second, split_acc);
+    }
+    for (int i = 0; i < 27; ++i) ASSERT_EQ(full[i], split_acc[i]) << i;
+  }
+}
+
+TEST(Kernels, SplitKernelWordSubrangesCompose) {
+  // Accumulating [0, w1) and [w1, words) must equal one full-range call
+  // (before padding correction, which contingency_split applies once).
+  const auto d = random_dataset({6, 200, 17});
+  const auto planes = dataset::PhenoSplitPlanes::build(d);
+  const TripleBlockKernel kernel = get_kernel(KernelIsa::kScalar);
+  for (int c = 0; c < 2; ++c) {
+    const std::size_t words = planes.words(c);
+    std::uint32_t full[27] = {};
+    std::uint32_t split_acc[27] = {};
+    kernel(planes.plane(c, 0, 0), planes.plane(c, 0, 1), planes.plane(c, 1, 0),
+           planes.plane(c, 1, 1), planes.plane(c, 2, 0), planes.plane(c, 2, 1),
+           0, words, full);
+    const std::size_t mid = words / 2;
+    kernel(planes.plane(c, 0, 0), planes.plane(c, 0, 1), planes.plane(c, 1, 0),
+           planes.plane(c, 1, 1), planes.plane(c, 2, 0), planes.plane(c, 2, 1),
+           0, mid, split_acc);
+    kernel(planes.plane(c, 0, 0), planes.plane(c, 0, 1), planes.plane(c, 1, 0),
+           planes.plane(c, 1, 1), planes.plane(c, 2, 0), planes.plane(c, 2, 1),
+           mid, words, split_acc);
+    for (int i = 0; i < 27; ++i) ASSERT_EQ(full[i], split_acc[i]) << i;
+  }
+}
+
 TEST(Kernels, EveryFamilyComposesOverWordSubrangesOnEveryIsa) {
   // Every kernel family, on every available ISA, accumulated over the
   // chunks [0, 21) and [21, words) must equal one full-range call (the
