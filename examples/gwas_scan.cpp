@@ -11,10 +11,11 @@
 /// candidate-gene SNPs) is generated, scanned and verified.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
+#include "trigen/common/args.hpp"
 #include "trigen/core/detector.hpp"
 #include "trigen/dataset/io.hpp"
 #include "trigen/dataset/synthetic.hpp"
@@ -22,22 +23,6 @@
 namespace {
 
 using namespace trigen;
-
-const char* arg_value(int argc, char** argv, const char* flag,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-core::Objective parse_objective(const std::string& name) {
-  if (name == "k2") return core::Objective::kK2;
-  if (name == "mi") return core::Objective::kMutualInformation;
-  if (name == "chi2") return core::Objective::kChiSquared;
-  std::fprintf(stderr, "unknown objective '%s', using k2\n", name.c_str());
-  return core::Objective::kK2;
-}
 
 dataset::GenotypeMatrix demo_study() {
   // Candidate-gene panel: 128 SNPs, 4000 patients, balanced-ish, one
@@ -60,15 +45,20 @@ dataset::GenotypeMatrix demo_study() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
-  if (argc > 1 && argv[1][0] != '-') path = argv[1];
-  const core::Objective objective =
-      parse_objective(arg_value(argc, argv, "--objective", "k2"));
-  const std::size_t top_k =
-      static_cast<std::size_t>(std::atoi(arg_value(argc, argv, "--top", "10")));
-  const unsigned threads =
-      static_cast<unsigned>(std::atoi(arg_value(argc, argv, "--threads", "1")));
-  const std::string csv_path = arg_value(argc, argv, "--csv", "");
+  const Args args = Args::parse(argc, argv, 1);
+  const std::string path = args.positional.empty() ? "" : args.positional[0];
+  core::Objective objective = core::Objective::kK2;
+  std::size_t top_k = 10;
+  unsigned threads = 1;
+  try {
+    objective = core::parse_objective(args.get("objective", "k2"));
+    top_k = static_cast<std::size_t>(args.get_uint("top", 10));
+    threads = static_cast<unsigned>(args.get_uint("threads", 1));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "gwas_scan: %s\n", e.what());
+    return 2;
+  }
+  const std::string csv_path = args.get("csv", "");
 
   const dataset::GenotypeMatrix data =
       path.empty() ? demo_study() : dataset::read_text_file(path);

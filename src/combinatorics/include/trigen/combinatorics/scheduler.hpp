@@ -13,6 +13,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +27,15 @@ struct RankRange {
   std::uint64_t size() const { return last - first; }
   bool empty() const { return first >= last; }
 };
+
+/// "[first, last)", the spelling of a rank range in messages and logs.
+std::string to_string(const RankRange& r);
+
+/// Parses the `FIRST:LAST` spelling of a rank range shared by `scan
+/// --range`, the serve `range=` parameter and the fleet lease grant: two
+/// trigen::parse_uint numbers around one colon, nothing else.  Nullopt on
+/// any other text; bounds against the rank space are the caller's check.
+std::optional<RankRange> parse_rank_range(const std::string& s);
 
 /// Lock-free dynamic chunk dispenser: threads call next() until it returns
 /// an empty range.  Chunks are contiguous and cover [0, total) exactly once.

@@ -3,7 +3,27 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "trigen/common/parse.hpp"
+
 namespace trigen::combinatorics {
+
+std::string to_string(const RankRange& r) {
+  std::string s = "[";
+  s += std::to_string(r.first);
+  s += ", ";
+  s += std::to_string(r.last);
+  s += ')';
+  return s;
+}
+
+std::optional<RankRange> parse_rank_range(const std::string& s) {
+  const std::size_t colon = s.find(':');
+  if (colon == std::string::npos) return std::nullopt;
+  const auto first = parse_uint(s.substr(0, colon));
+  const auto last = parse_uint(s.substr(colon + 1));
+  if (!first || !last) return std::nullopt;
+  return RankRange{*first, *last};
+}
 
 ChunkScheduler::ChunkScheduler(std::uint64_t total, std::uint64_t chunk_size)
     : total_(total), chunk_(chunk_size) {

@@ -11,7 +11,6 @@
 /// (`--help`, `--progress`, ...) must be declared in `switches`, otherwise
 /// a following positional argument would be swallowed as their value.
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -19,6 +18,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "trigen/common/parse.hpp"
 
 namespace trigen {
 
@@ -63,30 +64,18 @@ struct Args {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : std::atof(it->second.c_str());
   }
-  /// Strict parse for count-like flags (ranks, shard indices, intervals):
-  /// the full unsigned range is accepted, but a negative, non-numeric or
-  /// overflowing value throws std::invalid_argument naming the flag — a
-  /// `--stop-after -1` must fail loudly, not silently become ~2^64 via a
-  /// signed-to-unsigned cast.
+  /// Strict parse for count-like flags (ranks, shard indices, intervals)
+  /// through trigen::parse_uint: the full unsigned range is accepted, but a
+  /// negative, non-numeric, trailing-junk or overflowing value throws
+  /// std::invalid_argument naming the flag — a `--stop-after -1` must fail
+  /// loudly, not silently become ~2^64 via a signed-to-unsigned cast.
   std::uint64_t get_uint(const std::string& key, std::uint64_t fallback) const {
     const auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    const std::string& v = it->second;
-    if (v.empty() || v[0] == '-') {
-      throw std::invalid_argument("--" + key +
-                                  " expects a non-negative integer, got '" +
-                                  v + "'");
-    }
-    const char* begin = v.c_str();
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long parsed = std::strtoull(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno == ERANGE) {
-      throw std::invalid_argument("--" + key +
-                                  " expects a non-negative integer in [0, "
-                                  "2^64), got '" + v + "'");
-    }
-    return parsed;
+    if (const auto v = parse_uint(it->second)) return *v;
+    throw std::invalid_argument("--" + key +
+                                " expects a non-negative integer in [0, "
+                                "2^64), got '" + it->second + "'");
   }
   bool has(const std::string& key) const { return flags.count(key) != 0; }
   /// The parsed flag names outside `known`, in sorted order — lets a tool

@@ -1,6 +1,7 @@
 #include "trigen/core/detector.hpp"
 
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 
 #include "trigen/combinatorics/block_partition.hpp"
@@ -29,13 +30,53 @@ std::string cpu_version_name(CpuVersion v) {
   return "unknown";
 }
 
+std::optional<CpuVersion> cpu_version_from_number(std::uint64_t n) {
+  constexpr CpuVersion kByNumber[] = {
+      CpuVersion::kV1Naive, CpuVersion::kV2Split, CpuVersion::kV3Blocked,
+      CpuVersion::kV4Vector, CpuVersion::kV5PairCache};
+  if (n == 0 || n > std::size(kByNumber)) return std::nullopt;
+  return kByNumber[n - 1];
+}
+
+namespace {
+
+/// Both spellings of every objective, defined once.
+struct ObjectiveSpelling {
+  Objective objective;
+  const char* token;  ///< scan vocabulary (objective_token)
+  const char* name;   ///< file spelling (objective_name)
+};
+constexpr ObjectiveSpelling kObjectiveSpellings[] = {
+    {Objective::kK2, "k2", "k2"},
+    {Objective::kMutualInformation, "mi", "mutual-information"},
+    {Objective::kChiSquared, "chi2", "chi-squared"},
+};
+
+}  // namespace
+
 std::string objective_name(Objective o) {
-  switch (o) {
-    case Objective::kK2: return "k2";
-    case Objective::kMutualInformation: return "mutual-information";
-    case Objective::kChiSquared: return "chi-squared";
+  for (const ObjectiveSpelling& s : kObjectiveSpellings) {
+    if (s.objective == o) return s.name;
   }
   return "unknown";
+}
+
+std::string objective_token(Objective o) {
+  for (const ObjectiveSpelling& s : kObjectiveSpellings) {
+    if (s.objective == o) return s.token;
+  }
+  return "unknown";
+}
+
+Objective parse_objective(const std::string& token) {
+  std::string valid;
+  for (const ObjectiveSpelling& s : kObjectiveSpellings) {
+    if (token == s.token) return s.objective;
+    valid += valid.empty() ? "" : "|";
+    valid += s.token;
+  }
+  throw std::invalid_argument("unknown objective '" + token + "' (" + valid +
+                              ")");
 }
 
 template <unsigned K>

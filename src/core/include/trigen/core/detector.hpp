@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "trigen/combinatorics/scheduler.hpp"
@@ -53,6 +55,10 @@ enum class CpuVersion {
 
 std::string cpu_version_name(CpuVersion v);
 
+/// The rung numbered `n` in the scan vocabulary (`--version n`,
+/// `version=n`): 1..5 are V1..V5, anything else is nullopt.
+std::optional<CpuVersion> cpu_version_from_number(std::uint64_t n);
+
 /// Objective function for ranking combinations.
 enum class Objective {
   kK2,                 ///< Bayesian K2 score (paper Eq. 1; lower is better)
@@ -60,7 +66,17 @@ enum class Objective {
   kChiSquared,         ///< Pearson X^2 (higher is better)
 };
 
+/// Spelling recorded in shard, checkpoint and fleet-state files:
+/// "k2", "mutual-information", "chi-squared".
 std::string objective_name(Objective o);
+
+/// Token of the scan vocabulary — `--objective`, the serve `objective=`
+/// parameter and the fleet lease grant: "k2", "mi", "chi2".
+std::string objective_token(Objective o);
+
+/// Inverse of objective_token.  Throws std::invalid_argument naming the
+/// valid tokens for anything else.
+Objective parse_objective(const std::string& token);
 
 /// Scorer for `o` normalized to lower-is-better (MI and X^2 are negated),
 /// sized for datasets of `num_samples`.  Shared by the CPU detector, the

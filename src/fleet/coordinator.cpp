@@ -1,21 +1,19 @@
 #include "trigen/fleet/coordinator.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 
 #ifndef _WIN32
 #include <sys/stat.h>
 #endif
 
 #include "trigen/combinatorics/combinations.hpp"
+#include "trigen/core/order_dispatch.hpp"
 #include "trigen/core/scan_csv.hpp"
 #include "trigen/serve/protocol.hpp"
 #include "trigen/shard/merge.hpp"
@@ -24,47 +22,12 @@
 namespace trigen::fleet {
 namespace {
 
+using combinatorics::to_string;
+using serve::param_uint;
+using serve::response;
+
 [[noreturn]] void reject(const std::string& what) {
   throw std::invalid_argument(what);
-}
-
-/// Runtime order -> compile-time instantiation (same dispatch shape as the
-/// CLI and the scan server).
-template <typename Fn>
-void with_order(unsigned order, Fn&& fn) {
-  switch (order) {
-    case 2: fn(std::integral_constant<unsigned, 2>{}); return;
-    case 3: fn(std::integral_constant<unsigned, 3>{}); return;
-    case 4: fn(std::integral_constant<unsigned, 4>{}); return;
-    case 5: fn(std::integral_constant<unsigned, 5>{}); return;
-    case 6: fn(std::integral_constant<unsigned, 6>{}); return;
-    default: break;
-  }
-  reject("order expects an interaction order in [2, " +
-         std::to_string(combinatorics::kMaxOrder) + "]");
-}
-
-std::string response(const char* kind, const std::string& id,
-                     const std::string& rest) {
-  std::string out = kind;
-  out += ' ';
-  out += id.empty() ? "-" : id;
-  if (!rest.empty()) {
-    out += ' ';
-    out += rest;
-  }
-  return out;
-}
-
-std::string format_fingerprint(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
-std::string range_str(const combinatorics::RankRange& r) {
-  return "[" + std::to_string(r.first) + ", " + std::to_string(r.last) + ")";
 }
 
 std::uint64_t steady_now_ms() {
@@ -72,30 +35,6 @@ std::uint64_t steady_now_ms() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::uint64_t required_u64(const std::map<std::string, std::string>& params,
-                           const char* verb, const char* key) {
-  const auto it = params.find(key);
-  if (it == params.end()) {
-    reject(std::string(verb) + " needs " + key + "=<value>");
-  }
-  const char* begin = it->second.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &end, 10);
-  if (end == begin || *end != '\0' || errno != 0 || it->second[0] == '-') {
-    reject(std::string(verb) + " " + key + " expects an unsigned integer, "
-           "got '" + it->second + "'");
-  }
-  return v;
-}
-
-bool has_whitespace(const std::string& s) {
-  for (const char c : s) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -163,7 +102,7 @@ struct FleetCoordinator::Impl {
         (pos != st.done.begin() &&
          std::prev(pos)->range.last > nd.range.first)) {
       throw std::runtime_error(
-          "fleet: completed range " + range_str(nd.range) +
+          "fleet: completed range " + to_string(nd.range) +
           " overlaps already-merged work (internal invariant violated)");
     }
     st.done.insert(pos, std::move(nd));
@@ -233,7 +172,7 @@ struct FleetCoordinator::Impl {
             harvested_to = c.watermark;
             log("harvested checkpoint prefix: shard " + std::to_string(id) +
                 " ranks " +
-                range_str({e->range.first, c.watermark}));
+                to_string({e->range.first, c.watermark}));
             fold_done<K>(DoneRange{{e->range.first, c.watermark}, name});
             e = find_shard(id);  // fold_done may reallocate st.shards? no,
                                  // but keep the invariant explicit
@@ -268,13 +207,13 @@ struct FleetCoordinator::Impl {
       e->state = ShardState::kQuarantined;
       e->backoff_until_ms = 0;
       log("quarantined: shard " + std::to_string(new_id) + " ranks " +
-          range_str(e->range) + " after " + std::to_string(failures) +
+          to_string(e->range) + " after " + std::to_string(failures) +
           " failures (poison; cause: " + cause + ")");
     } else {
       e->state = ShardState::kPending;
       e->backoff_until_ms = count_failure ? now() + backoff_ms(failures) : 0;
       log("requeued: shard " + std::to_string(new_id) + " ranks " +
-          range_str(e->range) + " failures " + std::to_string(failures) +
+          to_string(e->range) + " failures " + std::to_string(failures) +
           (count_failure
                ? " backoff " + std::to_string(backoff_ms(failures)) + "ms"
                : "") +
@@ -298,7 +237,7 @@ struct FleetCoordinator::Impl {
       log("lease expired: shard " + std::to_string(id) + " worker " +
           e->worker + " watermark " + std::to_string(e->watermark));
       ++reassignment_count;
-      with_order(st.order, [&](auto kc) {
+      core::with_order(st.order, [&](auto kc) {
         this->requeue<decltype(kc)::value>(
             id, /*count_failure=*/true, /*rescan_from_scratch=*/false,
             "lease expired");
@@ -324,7 +263,7 @@ struct FleetCoordinator::Impl {
           "fleet: no shards left but coverage is incomplete (internal "
           "invariant violated)");
     }
-    with_order(st.order, [&](auto kc) {
+    core::with_order(st.order, [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       const auto r = shard::read_shard_result_file_as<core::ScoredOf<K>>(
           spool_file(st.done[0].file));
@@ -381,25 +320,26 @@ struct FleetCoordinator::Impl {
             ? opt.checkpoint_every
             : std::max<std::uint64_t>(1, best->range.size() / 64);
     log("lease granted: shard " + std::to_string(best->id) + " ranks " +
-        range_str(best->range) + " -> worker " + worker);
+        to_string(best->range) + " -> worker " + worker);
     return response(
         "ok", worker,
         "lease shard=" + std::to_string(best->id) + " order=" +
             std::to_string(st.order) + " range=" +
             std::to_string(best->range.first) + ":" +
             std::to_string(best->range.last) + " objective=" +
-            objective_name + " top=" + std::to_string(st.top_k) +
+            core::objective_token(opt.objective) +
+            " top=" + std::to_string(st.top_k) +
             " checkpoint_every=" + std::to_string(ce) + " lease_ms=" +
             std::to_string(opt.lease_ms) + " fingerprint=" +
-            format_fingerprint(fingerprint) + " ckpt=" +
+            shard::format_fingerprint(fingerprint) + " ckpt=" +
             spool_file(ckpt_name(best->id)) + " out=" +
             spool_file(result_name(best->id)));
   }
 
   std::string handle_renew(const std::string& worker,
                            const std::map<std::string, std::string>& params) {
-    const std::uint64_t id = required_u64(params, "renew", "shard");
-    const std::uint64_t wm = required_u64(params, "renew", "watermark");
+    const std::uint64_t id = param_uint(params, "shard");
+    const std::uint64_t wm = param_uint(params, "watermark");
     expire();
     ShardEntry* e = find_shard(id);
     if (e == nullptr || e->state != ShardState::kLeased ||
@@ -411,7 +351,7 @@ struct FleetCoordinator::Impl {
       return response("error", worker,
                       "bad-watermark shard=" + std::to_string(id) + " " +
                           std::to_string(wm) + " outside " +
-                          range_str(e->range));
+                          to_string(e->range));
     }
     e->lease_deadline_ms = now() + opt.lease_ms;
     e->watermark = std::max(e->watermark, wm);
@@ -422,7 +362,7 @@ struct FleetCoordinator::Impl {
 
   std::string handle_complete(const std::string& worker,
                               const std::map<std::string, std::string>& params) {
-    const std::uint64_t id = required_u64(params, "complete", "shard");
+    const std::uint64_t id = param_uint(params, "shard");
     expire();
     ShardEntry* e = find_shard(id);
     if (e == nullptr || e->state != ShardState::kLeased ||
@@ -432,7 +372,7 @@ struct FleetCoordinator::Impl {
     }
 
     std::string verdict;
-    with_order(st.order, [&](auto kc) {
+    core::with_order(st.order, [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       using Scored = core::ScoredOf<K>;
       const std::string file = result_name(id);
@@ -449,12 +389,12 @@ struct FleetCoordinator::Impl {
         verdict = "result objective/top_k mismatch";
       } else if (r.range.first != e->range.first ||
                  r.range.last != e->range.last) {
-        verdict = "result covers " + range_str(r.range) +
-                  ", lease covers " + range_str(e->range);
+        verdict = "result covers " + to_string(r.range) +
+                  ", lease covers " + to_string(e->range);
       } else {
         const combinatorics::RankRange range = e->range;
         log("complete: shard " + std::to_string(id) + " ranks " +
-            range_str(range) + " worker " + worker);
+            to_string(range) + " worker " + worker);
         st.shards.erase(st.shards.begin() + (e - st.shards.data()));
         this->fold_done<K>(DoneRange{range, file});
         this->maybe_finalize();
@@ -467,7 +407,7 @@ struct FleetCoordinator::Impl {
       // accounting against repeat offenders).
       log("bad result: shard " + std::to_string(id) + " worker " + worker +
           ": " + verdict);
-      with_order(st.order, [&](auto kc) {
+      core::with_order(st.order, [&](auto kc) {
         this->requeue<decltype(kc)::value>(
             id, /*count_failure=*/true, /*rescan_from_scratch=*/true,
             "bad result");
@@ -481,7 +421,7 @@ struct FleetCoordinator::Impl {
 
   std::string handle_abandon(const std::string& worker,
                              const std::map<std::string, std::string>& params) {
-    const std::uint64_t id = required_u64(params, "abandon", "shard");
+    const std::uint64_t id = param_uint(params, "shard");
     const auto reason = params.find("reason");
     expire();
     ShardEntry* e = find_shard(id);
@@ -492,7 +432,7 @@ struct FleetCoordinator::Impl {
     }
     log("abandoned: shard " + std::to_string(id) + " worker " + worker +
         (reason == params.end() ? "" : " reason " + reason->second));
-    with_order(st.order, [&](auto kc) {
+    core::with_order(st.order, [&](auto kc) {
       this->requeue<decltype(kc)::value>(
           id, /*count_failure=*/false, /*rescan_from_scratch=*/false,
           "abandoned");
@@ -524,15 +464,12 @@ FleetCoordinator::FleetCoordinator(const dataset::GenotypeMatrix& dataset,
     : impl_(std::make_unique<Impl>()) {
   Impl& im = *impl_;
   im.opt = std::move(options);
-  if (im.opt.spool.empty() || has_whitespace(im.opt.spool)) {
+  if (!is_single_token(im.opt.spool)) {
     reject("fleet: spool directory '" + im.opt.spool +
            "' is empty or contains whitespace (spool paths travel inside "
            "protocol lines)");
   }
-  if (im.opt.order < 2 || im.opt.order > combinatorics::kMaxOrder) {
-    reject("fleet: order " + std::to_string(im.opt.order) +
-           " outside [2, " + std::to_string(combinatorics::kMaxOrder) + "]");
-  }
+  core::check_order(im.opt.order);
   if (im.opt.top_k == 0) reject("fleet: top_k must be >= 1");
   if (im.opt.lease_ms == 0) reject("fleet: lease_ms must be >= 1");
   if (im.opt.max_failures == 0) reject("fleet: max_failures must be >= 1");
@@ -593,7 +530,7 @@ FleetCoordinator::FleetCoordinator(const dataset::GenotypeMatrix& dataset,
     im.log("plan: " + std::to_string(plan.size()) + " shards over " +
            std::to_string(im.total) + " ranks (order " +
            std::to_string(im.opt.order) + ", fingerprint " +
-           format_fingerprint(im.fingerprint) + ")");
+           shard::format_fingerprint(im.fingerprint) + ")");
   }
   im.maybe_finalize();
 }

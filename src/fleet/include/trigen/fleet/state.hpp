@@ -51,6 +51,10 @@ enum class ShardState {
 
 const char* shard_state_name(ShardState s);
 
+/// True when `s` is one non-empty, whitespace-free token: representable in
+/// the token-oriented state file and inside a protocol line.
+bool is_single_token(const std::string& s);
+
 /// One not-yet-completed shard.  Everything after `failures` is volatile
 /// lease bookkeeping that is never persisted (see file comment).
 struct ShardEntry {

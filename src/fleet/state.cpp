@@ -1,7 +1,5 @@
 #include "trigen/fleet/state.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,56 +14,25 @@ constexpr char kMagic[] = "TRIGEN-FLEET";
 constexpr char kVersion[] = "v1";
 constexpr char kKind[] = "fleet-state";
 
+using combinatorics::to_string;
+using shard::expect_key;
+using shard::next_token;
+using shard::read_trailer;
+using shard::read_u64;
+using shard::read_u64_field;
+
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error(std::string(kKind) + ": " + what);
 }
 
-std::string next_token(std::istream& is, const char* what) {
-  std::string tok;
-  if (!(is >> tok)) fail(std::string("truncated file: missing ") + what);
-  return tok;
-}
-
-void expect_key(std::istream& is, const char* key) {
-  const std::string tok = next_token(is, key);
-  if (tok != key) {
-    fail("expected '" + std::string(key) + "', got '" + tok + "'");
-  }
-}
-
-std::uint64_t parse_u64(const std::string& tok, const char* what,
-                        int base = 10) {
-  const char* begin = tok.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &end, base);
-  if (end == begin || *end != '\0' || errno != 0 || tok[0] == '-') {
-    fail(std::string("malformed ") + what + " '" + tok + "'");
-  }
-  return v;
-}
-
-std::uint64_t read_u64_field(std::istream& is, const char* key,
-                             int base = 10) {
-  expect_key(is, key);
-  return parse_u64(next_token(is, key), key, base);
-}
-
-std::string format_fingerprint(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
-  return buf;
-}
-
-bool has_whitespace(const std::string& s) {
-  for (const char c : s) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return true;
-  }
-  return s.empty();
-}
-
 }  // namespace
+
+bool is_single_token(const std::string& s) {
+  for (const char c : s) {
+    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') return false;
+  }
+  return !s.empty();
+}
 
 const char* shard_state_name(ShardState s) {
   switch (s) {
@@ -80,7 +47,7 @@ void write_fleet_state_file(const std::string& path, const FleetState& s) {
   std::ostringstream os;
   os << kMagic << ' ' << kVersion << '\n'
      << "order " << s.order << '\n'
-     << "fingerprint " << format_fingerprint(s.fingerprint) << '\n'
+     << "fingerprint " << shard::format_fingerprint(s.fingerprint) << '\n'
      << "snps " << s.num_snps << '\n'
      << "samples " << s.num_samples << '\n'
      << "objective " << s.objective << '\n'
@@ -98,7 +65,7 @@ void write_fleet_state_file(const std::string& path, const FleetState& s) {
   }
   os << "done " << s.done.size() << '\n';
   for (const DoneRange& d : s.done) {
-    if (has_whitespace(d.file)) {
+    if (!is_single_token(d.file)) {
       throw std::invalid_argument(
           std::string(kKind) + ": spool file name '" + d.file +
           "' is empty or contains whitespace (unrepresentable in the "
@@ -115,30 +82,30 @@ FleetState read_fleet_state_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) fail("cannot open '" + path + "' for reading");
 
-  std::string tok = next_token(is, "magic");
+  std::string tok = next_token(is, kKind, "magic");
   if (tok != kMagic) {
     fail("bad magic '" + tok + "' (expected " + kMagic + ")");
   }
-  tok = next_token(is, "format version");
+  tok = next_token(is, kKind, "format version");
   if (tok != kVersion) {
     fail("unsupported format version '" + tok + "' (expected " + kVersion +
          ")");
   }
 
   FleetState s;
-  const std::uint64_t order = read_u64_field(is, "order");
+  const std::uint64_t order = read_u64_field(is, kKind, "order");
   if (order < 2 || order > combinatorics::kMaxOrder) {
     fail("unsupported order " + std::to_string(order));
   }
   s.order = static_cast<unsigned>(order);
-  s.fingerprint = read_u64_field(is, "fingerprint", 16);
-  s.num_snps = read_u64_field(is, "snps");
-  s.num_samples = read_u64_field(is, "samples");
-  expect_key(is, "objective");
-  s.objective = next_token(is, "objective name");
-  s.top_k = read_u64_field(is, "top_k");
+  s.fingerprint = read_u64_field(is, kKind, "fingerprint", 16);
+  s.num_snps = read_u64_field(is, kKind, "snps");
+  s.num_samples = read_u64_field(is, kKind, "samples");
+  expect_key(is, kKind, "objective");
+  s.objective = next_token(is, kKind, "objective name");
+  s.top_k = read_u64_field(is, kKind, "top_k");
   if (s.top_k == 0) fail("top_k must be >= 1");
-  s.next_shard = read_u64_field(is, "next_shard");
+  s.next_shard = read_u64_field(is, kKind, "next_shard");
 
   std::uint64_t total = 0;
   try {
@@ -148,16 +115,15 @@ FleetState read_fleet_state_file(const std::string& path) {
          std::to_string(s.order) + ") is not addressable");
   }
 
-  const std::uint64_t n_shards = read_u64_field(is, "shards");
+  const std::uint64_t n_shards = read_u64_field(is, kKind, "shards");
   s.shards.reserve(n_shards);
   for (std::uint64_t i = 0; i < n_shards; ++i) {
-    expect_key(is, "s");
+    expect_key(is, kKind, "s");
     ShardEntry e;
-    e.id = parse_u64(next_token(is, "shard id"), "shard id");
-    e.range.first =
-        parse_u64(next_token(is, "shard first"), "shard first");
-    e.range.last = parse_u64(next_token(is, "shard last"), "shard last");
-    const std::string state = next_token(is, "shard state");
+    e.id = read_u64(is, kKind, "shard id");
+    e.range.first = read_u64(is, kKind, "shard first");
+    e.range.last = read_u64(is, kKind, "shard last");
+    const std::string state = next_token(is, kKind, "shard state");
     if (state == "pending") {
       e.state = ShardState::kPending;
     } else if (state == "quarantined") {
@@ -165,12 +131,11 @@ FleetState read_fleet_state_file(const std::string& path) {
     } else {
       fail("unknown shard state '" + state + "' (pending|quarantined)");
     }
-    e.failures = static_cast<std::uint32_t>(
-        parse_u64(next_token(is, "shard failures"), "shard failures"));
+    e.failures =
+        static_cast<std::uint32_t>(read_u64(is, kKind, "shard failures"));
     if (e.range.first >= e.range.last || e.range.last > total) {
-      fail("shard " + std::to_string(e.id) + " has invalid range [" +
-           std::to_string(e.range.first) + ", " +
-           std::to_string(e.range.last) + ") for a rank space of " +
+      fail("shard " + std::to_string(e.id) + " has invalid range " +
+           to_string(e.range) + " for a rank space of " +
            std::to_string(total));
     }
     if (e.id >= s.next_shard) {
@@ -180,36 +145,25 @@ FleetState read_fleet_state_file(const std::string& path) {
     s.shards.push_back(e);
   }
 
-  const std::uint64_t n_done = read_u64_field(is, "done");
+  const std::uint64_t n_done = read_u64_field(is, kKind, "done");
   s.done.reserve(n_done);
   for (std::uint64_t i = 0; i < n_done; ++i) {
-    expect_key(is, "d");
+    expect_key(is, kKind, "d");
     DoneRange d;
-    d.range.first = parse_u64(next_token(is, "done first"), "done first");
-    d.range.last = parse_u64(next_token(is, "done last"), "done last");
-    d.file = next_token(is, "done file");
+    d.range.first = read_u64(is, kKind, "done first");
+    d.range.last = read_u64(is, kKind, "done last");
+    d.file = next_token(is, kKind, "done file");
     if (d.range.first >= d.range.last || d.range.last > total) {
-      fail("done range [" + std::to_string(d.range.first) + ", " +
-           std::to_string(d.range.last) + ") is invalid for a rank space of " +
-           std::to_string(total));
+      fail("done range " + to_string(d.range) +
+           " is invalid for a rank space of " + std::to_string(total));
     }
     if (!s.done.empty() && d.range.first < s.done.back().range.last) {
-      fail("done ranges are unsorted or overlap at [" +
-           std::to_string(d.range.first) + ", " +
-           std::to_string(d.range.last) + ")");
+      fail("done ranges are unsorted or overlap at " + to_string(d.range));
     }
     s.done.push_back(d);
   }
 
-  expect_key(is, "end");
-  tok = next_token(is, "trailer magic");
-  if (tok != kMagic) {
-    fail("trailer names '" + tok + "' (expected " + kMagic + ")");
-  }
-  std::string extra;
-  if (is >> extra) {
-    fail("trailing content after the end trailer: '" + extra + "'");
-  }
+  read_trailer(is, kKind, kMagic);
   return s;
 }
 

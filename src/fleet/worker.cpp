@@ -11,22 +11,23 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
+#include "trigen/serve/protocol.hpp"
+#include "trigen/core/order_dispatch.hpp"
 #include "trigen/shard/plan.hpp"
 #include "trigen/shard/result_io.hpp"
 #include "trigen/shard/runner.hpp"
 
 namespace trigen::fleet {
 namespace {
+
+using serve::param_uint;
 
 constexpr int kExitOk = 0;
 constexpr int kExitError = 2;
@@ -172,21 +173,6 @@ Reply parse_reply(const std::string& line) {
   return r;
 }
 
-std::uint64_t param_u64(const Reply& r, const char* key) {
-  const auto it = r.params.find(key);
-  if (it == r.params.end()) {
-    throw std::runtime_error(std::string("coordinator reply misses ") + key);
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0' || errno != 0) {
-    throw std::runtime_error(std::string("malformed ") + key + "='" +
-                             it->second + "' in coordinator reply");
-  }
-  return v;
-}
-
 std::string param_str(const Reply& r, const char* key) {
   const auto it = r.params.find(key);
   if (it == r.params.end()) {
@@ -195,50 +181,10 @@ std::string param_str(const Reply& r, const char* key) {
   return it->second;
 }
 
-core::Objective parse_objective_token(const std::string& s) {
-  if (s == "k2") return core::Objective::kK2;
-  if (s == "mi") return core::Objective::kMutualInformation;
-  if (s == "chi2") return core::Objective::kChiSquared;
-  throw std::runtime_error("coordinator granted unknown objective '" + s +
-                           "'");
+[[noreturn]] void malformed(const char* key, const std::string& value) {
+  throw std::runtime_error(std::string("malformed ") + key + "='" + value +
+                           "' in coordinator reply");
 }
-
-template <typename Fn>
-void with_order(unsigned order, Fn&& fn) {
-  switch (order) {
-    case 2: fn(std::integral_constant<unsigned, 2>{}); return;
-    case 3: fn(std::integral_constant<unsigned, 3>{}); return;
-    case 4: fn(std::integral_constant<unsigned, 4>{}); return;
-    case 5: fn(std::integral_constant<unsigned, 5>{}); return;
-    case 6: fn(std::integral_constant<unsigned, 6>{}); return;
-    default: break;
-  }
-  throw std::runtime_error("coordinator granted unsupported order " +
-                           std::to_string(order));
-}
-
-/// Per-order detectors, built lazily (a fleet has one order, so exactly
-/// one slot ever fills).
-struct DetectorCache {
-  std::unique_ptr<core::BasicDetector<2>> d2;
-  std::unique_ptr<core::BasicDetector<3>> d3;
-  std::unique_ptr<core::BasicDetector<4>> d4;
-  std::unique_ptr<core::BasicDetector<5>> d5;
-  std::unique_ptr<core::BasicDetector<6>> d6;
-
-  template <unsigned K>
-  const core::BasicDetector<K>& get(const dataset::GenotypeMatrix& d) {
-    auto& slot = [this]() -> std::unique_ptr<core::BasicDetector<K>>& {
-      if constexpr (K == 2) return d2;
-      else if constexpr (K == 3) return d3;
-      else if constexpr (K == 4) return d4;
-      else if constexpr (K == 5) return d5;
-      else return d6;
-    }();
-    if (!slot) slot = std::make_unique<core::BasicDetector<K>>(d);
-    return *slot;
-  }
-};
 
 /// Everything run_worker keeps across one session.
 struct Session {
@@ -247,7 +193,7 @@ struct Session {
   const WorkerOptions& opt;
   std::uint64_t fingerprint;
   Connection conn;
-  DetectorCache detectors;
+  core::DetectorCache detectors;
 
   void log(const std::string& msg) const {
     if (opt.log) opt.log(msg);
@@ -293,20 +239,15 @@ enum class ShardOutcome {
 
 template <unsigned K>
 ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
-  const std::uint64_t shard_id = param_u64(grant, "shard");
+  const std::uint64_t shard_id = param_uint(grant.params, "shard");
   const std::string range_spec = param_str(grant, "range");
-  const std::size_t colon = range_spec.find(':');
-  if (colon == std::string::npos) {
-    throw std::runtime_error("malformed range='" + range_spec +
-                             "' in lease grant");
-  }
-  combinatorics::RankRange range{
-      std::strtoull(range_spec.c_str(), nullptr, 10),
-      std::strtoull(range_spec.c_str() + colon + 1, nullptr, 10)};
+  const auto parsed_range = combinatorics::parse_rank_range(range_spec);
+  if (!parsed_range) malformed("range", range_spec);
+  const combinatorics::RankRange range = *parsed_range;
 
   shard::BasicShardRunOptions<core::BasicDetectorOptions<K>> ro;
-  ro.detector.objective = parse_objective_token(param_str(grant, "objective"));
-  ro.detector.top_k = static_cast<std::size_t>(param_u64(grant, "top"));
+  ro.detector.objective = core::parse_objective(param_str(grant, "objective"));
+  ro.detector.top_k = static_cast<std::size_t>(param_uint(grant.params, "top"));
   ro.detector.threads = s.opt.threads;
   ro.detector.version = s.opt.version;
   if (s.opt.isa) {
@@ -314,7 +255,7 @@ ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
     ro.detector.isa_auto = false;
   }
   ro.range = range;
-  ro.checkpoint_every = param_u64(grant, "checkpoint_every");
+  ro.checkpoint_every = param_uint(grant.params, "checkpoint_every");
   ro.checkpoint_path = param_str(grant, "ckpt");
 
   const std::string shard_tag = "shard " + std::to_string(shard_id);
@@ -341,10 +282,9 @@ ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
     return true;
   };
 
-  s.log(shard_tag + ": scanning ranks [" + std::to_string(range.first) +
-        ", " + std::to_string(range.last) + ")");
+  s.log(shard_tag + ": scanning ranks " + combinatorics::to_string(range));
   const auto report = shard::run_shard_of<K>(
-      s.detectors.get<K>(s.dataset), s.fingerprint, ro,
+      *s.detectors.get<K>(), s.fingerprint, ro,
       [&](const std::string& reason) {
         s.log(shard_tag + ": discarding checkpoint (" + reason + ")");
       });
@@ -389,7 +329,8 @@ ShardOutcome run_granted_shard(Session& s, const Reply& grant) {
 int run_worker(const dataset::GenotypeMatrix& dataset,
                const std::string& socket_path, const WorkerOptions& options) {
   Session s{dataset, socket_path, options,
-            shard::dataset_fingerprint(dataset), {}, {}};
+            shard::dataset_fingerprint(dataset), {},
+            core::DetectorCache(dataset)};
 
   while (!is_interrupted(options)) {
     const auto reply = s.request("lease " + options.id);
@@ -414,7 +355,7 @@ int run_worker(const dataset::GenotypeMatrix& dataset,
       return kExitAborted;
     }
     if (reply->verb == "wait") {
-      sleep_ms(options, param_u64(*reply, "ms"));
+      sleep_ms(options, param_uint(reply->params, "ms"));
       continue;
     }
     if (reply->verb == "bye") {
@@ -431,22 +372,18 @@ int run_worker(const dataset::GenotypeMatrix& dataset,
     }
 
     const std::string granted_fp = param_str(*reply, "fingerprint");
-    char fp_buf[32];
-    std::snprintf(fp_buf, sizeof fp_buf, "%016llx",
-                  static_cast<unsigned long long>(s.fingerprint));
-    if (granted_fp != fp_buf) {
+    const std::string own_fp = shard::format_fingerprint(s.fingerprint);
+    if (granted_fp != own_fp) {
       s.log("dataset mismatch: coordinator scans fingerprint " + granted_fp +
-            ", this worker loaded " + fp_buf);
+            ", this worker loaded " + own_fp);
       return kExitError;
     }
 
     ShardOutcome outcome = ShardOutcome::kFailed;
     try {
-      with_order(static_cast<unsigned>(param_u64(*reply, "order")),
-                 [&](auto kc) {
-                   outcome =
-                       run_granted_shard<decltype(kc)::value>(s, *reply);
-                 });
+      core::with_order(param_uint(reply->params, "order"), [&](auto kc) {
+        outcome = run_granted_shard<decltype(kc)::value>(s, *reply);
+      });
     } catch (const std::exception& e) {
       // Deliberately no abandon: letting the lease expire charges the
       // shard a failure, which is what drives the coordinator's backoff

@@ -42,11 +42,25 @@
 /// `data <id> ` prefix therefore yields output diffable byte-for-byte
 /// against the standalone CLI.
 ///
+/// A coordinator's lease grant carries the scan contract in the same
+/// tokens a scan request uses:
+///
+///     ok <worker> lease shard=<id> order=K range=FIRST:LAST
+///        objective=k2|mi|chi2 top=N checkpoint_every=RANKS lease_ms=MS
+///        fingerprint=<hex16> ckpt=<path> out=<path>
+///
+/// Objectives are core::objective_token spellings (the long
+/// core::objective_name form appears only inside files), numbers are
+/// param_uint values (no sign, no trailing bytes) and FIRST:LAST is a
+/// combinatorics::parse_rank_range range, on both ends of the wire.
+///
 /// Parsing is purely syntactic here (verb shape, id charset, key=value
 /// form, no duplicate/unknown keys); semantic validation (ranges, orders,
 /// value bounds) happens in the server, which knows the dataset.
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -81,5 +95,17 @@ bool valid_job_id(const std::string& id);
 /// invalid job id, a token that is not key=value, an unknown or duplicate
 /// key for the verb, or trailing tokens on verbs that take none.
 Request parse_request(const std::string& line);
+
+/// Parameter `key` of a request (or of a coordinator reply) as a
+/// trigen::parse_uint number; `fallback` when absent, which without a
+/// fallback is an error.  Throws std::invalid_argument naming the key.
+std::uint64_t param_uint(const std::map<std::string, std::string>& params,
+                         const std::string& key,
+                         std::optional<std::uint64_t> fallback = {});
+
+/// One response line: `<kind> <id|-> [rest]` (an empty `id` prints as
+/// `-`, an empty `rest` is omitted).
+std::string response(const char* kind, const std::string& id,
+                     const std::string& rest);
 
 }  // namespace trigen::serve

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "trigen/common/parse.hpp"
+
 namespace trigen::serve {
 namespace {
 
@@ -40,6 +42,30 @@ bool valid_job_id(const std::string& id) {
     if (!ok) return false;
   }
   return true;
+}
+
+std::uint64_t param_uint(const std::map<std::string, std::string>& params,
+                         const std::string& key,
+                         std::optional<std::uint64_t> fallback) {
+  const auto it = params.find(key);
+  if (it == params.end()) {
+    if (fallback) return *fallback;
+    reject("missing " + key + "=<value>");
+  }
+  if (const auto v = parse_uint(it->second)) return *v;
+  reject(key + " expects a non-negative integer, got '" + it->second + "'");
+}
+
+std::string response(const char* kind, const std::string& id,
+                     const std::string& rest) {
+  std::string s = kind;
+  s += ' ';
+  s += id.empty() ? "-" : id;
+  if (!rest.empty()) {
+    s += ' ';
+    s += rest;
+  }
+  return s;
 }
 
 Request parse_request(const std::string& line) {

@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "trigen/common/rng.hpp"
-#include "trigen/core/detector.hpp"
+#include "trigen/core/order_dispatch.hpp"
 #include "trigen/core/scan_csv.hpp"
 #include "trigen/dataset/bitplanes.hpp"
 #include "trigen/shard/plan.hpp"
 #include "trigen/shard/result_io.hpp"
+#include "trigen/stats/permutation.hpp"
 #include "trigen/stats/report.hpp"
 
 namespace trigen::serve {
@@ -22,76 +21,15 @@ namespace {
 
 // -- Small protocol-side helpers --------------------------------------------
 
-std::string response(const char* kind, const std::string& id,
-                     const std::string& rest) {
-  std::string s = kind;
-  s += ' ';
-  s += id.empty() ? "-" : id;
-  if (!rest.empty()) {
-    s += ' ';
-    s += rest;
-  }
-  return s;
-}
-
 [[noreturn]] void reject(const std::string& what) {
   throw std::invalid_argument(what);
-}
-
-/// Strict non-negative integer parse for a request parameter; mirrors the
-/// CLI's Args::get_uint contract (a `permutations=-1` must fail loudly).
-std::uint64_t param_u64(const std::map<std::string, std::string>& params,
-                        const char* key, std::uint64_t fallback) {
-  const auto it = params.find(key);
-  if (it == params.end()) return fallback;
-  const std::string& v = it->second;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  if (v.empty() || v[0] == '-' || end == v.c_str() || *end != '\0' ||
-      errno == ERANGE) {
-    reject(std::string(key) + " expects a non-negative integer, got '" + v +
-           "'");
-  }
-  return parsed;
 }
 
 core::Objective param_objective(
     const std::map<std::string, std::string>& params) {
   const auto it = params.find("objective");
-  const std::string v = it == params.end() ? "k2" : it->second;
-  if (v == "k2") return core::Objective::kK2;
-  if (v == "mi") return core::Objective::kMutualInformation;
-  if (v == "chi2") return core::Objective::kChiSquared;
-  reject("unknown objective '" + v + "' (k2|mi|chi2)");
-}
-
-core::CpuVersion param_version(
-    const std::map<std::string, std::string>& params) {
-  switch (param_u64(params, "version", 4)) {
-    case 1: return core::CpuVersion::kV1Naive;
-    case 2: return core::CpuVersion::kV2Split;
-    case 3: return core::CpuVersion::kV3Blocked;
-    case 4: return core::CpuVersion::kV4Vector;
-    case 5: return core::CpuVersion::kV5PairCache;
-    default: reject("version expects 1..5");
-  }
-}
-
-/// Runtime order -> compile-time instantiation (same dispatch shape as the
-/// CLI's cmd_scan).
-template <typename Fn>
-void with_order(unsigned order, Fn&& fn) {
-  switch (order) {
-    case 2: fn(std::integral_constant<unsigned, 2>{}); return;
-    case 3: fn(std::integral_constant<unsigned, 3>{}); return;
-    case 4: fn(std::integral_constant<unsigned, 4>{}); return;
-    case 5: fn(std::integral_constant<unsigned, 5>{}); return;
-    case 6: fn(std::integral_constant<unsigned, 6>{}); return;
-    default: break;
-  }
-  reject("order expects an interaction order in [2, " +
-         std::to_string(combinatorics::kMaxOrder) + "]");
+  return it == params.end() ? core::Objective::kK2
+                            : core::parse_objective(it->second);
 }
 
 /// C(M, K), with the >2^64 overflow turned into a client-facing rejection.
@@ -305,10 +243,10 @@ class ScanJob final
   core::BasicTopK<Scored> committed_;  ///< jm-guarded with the base state
 };
 
-/// A batched multi-phenotype permutation test job: partition 0 is the
-/// observed labeling, partitions 1..P the shuffled nulls (same SplitMix64
-/// seed stream as stats::permutation_test_of), all scored in one batched
-/// pass chunked over the rank space.  Payload = the CLI's significance
+/// A batched multi-phenotype permutation test job over
+/// stats::permutation_partitions (partition 0 observed, 1..P the nulls of
+/// stats::permutation_test_of), all scored in one batched pass chunked
+/// over the rank space.  Payload = the CLI's significance
 /// report.  Not resumable: the per-partition state has no checkpoint
 /// format, so shutdown aborts it with an error event.
 template <unsigned K>
@@ -349,14 +287,10 @@ class SignificanceJob final
     stats::BasicPermutationTestResult<K> r;
     r.observed = part_best_[0].sorted().front();
     r.null_scores.reserve(permutations_);
-    unsigned as_good = 0;
     for (std::size_t p = 1; p < part_best_.size(); ++p) {
-      const double s = part_best_[p].sorted().front().score;
-      r.null_scores.push_back(s);
-      if (s <= r.observed.score) ++as_good;
+      r.null_scores.push_back(part_best_[p].sorted().front().score);
     }
-    r.p_value = static_cast<double>(1 + as_good) /
-                static_cast<double>(permutations_ + 1);
+    r.p_value = stats::empirical_p_value(r.observed.score, r.null_scores);
     return stats::significance_report<K>(r, permutations_);
   }
   std::string done_detail() {
@@ -391,10 +325,7 @@ struct ScanServer::Impl {
   std::uint64_t fingerprint = 0;
   unsigned pool_size = 1;
 
-  /// One detector (= one set of bitplanes) per interaction order, built on
-  /// first use and shared by every later job of that order.
-  std::mutex det_mu;
-  std::array<std::shared_ptr<void>, combinatorics::kMaxOrder + 1> det_slots;
+  core::DetectorCache detectors{d};
 
   mutable std::mutex mu;
   std::condition_variable work_cv;
@@ -406,14 +337,6 @@ struct ScanServer::Impl {
   bool shutdown_ran = false;
   std::size_t interrupted = 0;
   std::vector<std::thread> workers;
-
-  template <unsigned K>
-  std::shared_ptr<const core::BasicDetector<K>> detector() {
-    std::lock_guard<std::mutex> lk(det_mu);
-    auto& slot = det_slots[K];
-    if (!slot) slot = std::make_shared<core::BasicDetector<K>>(d);
-    return std::static_pointer_cast<const core::BasicDetector<K>>(slot);
-  }
 
   std::uint64_t chunk_for(std::uint64_t ranks) const {
     if (opt.chunk != 0) return opt.chunk;
@@ -484,33 +407,33 @@ struct ScanServer::Impl {
   }
 
   void submit_scan(const Request& req, const EventSink& sink) {
-    const unsigned order =
-        static_cast<unsigned>(param_u64(req.params, "order", 3));
-    with_order(order, [&](auto kc) {
+    core::with_order(param_uint(req.params, "order", 3), [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       core::BasicDetectorOptions<K> dopt;
       dopt.objective = param_objective(req.params);
       dopt.top_k =
-          static_cast<std::size_t>(param_u64(req.params, "top", 10));
+          static_cast<std::size_t>(param_uint(req.params, "top", 10));
       if (dopt.top_k == 0) reject("top expects >= 1");
-      dopt.version = param_version(req.params);
+      const auto version = core::cpu_version_from_number(
+          param_uint(req.params, "version", 4));
+      if (!version) reject("version expects 1..5");
+      dopt.version = *version;
       dopt.threads = 1;  // parallelism comes from the shared pool
       core::ensure_default_scorer(dopt, d.num_samples());
       const std::uint64_t total = rank_space(d.num_snps(), K);
       combinatorics::RankRange range{0, total};
       if (const auto it = req.params.find("range"); it != req.params.end()) {
-        unsigned long long first = 0, last = 0;
-        if (std::sscanf(it->second.c_str(), "%llu:%llu", &first, &last) != 2 ||
-            first >= last || last > total) {
+        const auto r = combinatorics::parse_rank_range(it->second);
+        if (!r || r->first >= r->last || r->last > total) {
           reject("range expects FIRST:LAST with FIRST < LAST <= " +
                  std::to_string(total));
         }
-        range = {first, last};
+        range = *r;
       }
       if (total == 0) reject("dataset has no order-" + std::to_string(K) +
                              " combinations");
       auto job = std::make_shared<ScanJob<K>>(
-          req.id, sink, detector<K>(), std::move(dopt), range,
+          req.id, sink, detectors.get<K>(), std::move(dopt), range,
           chunk_for(range.size()), fingerprint);
       add_job(std::move(job), sink,
               "accepted scan order=" + std::to_string(K) +
@@ -519,14 +442,12 @@ struct ScanServer::Impl {
   }
 
   void submit_significance(const Request& req, const EventSink& sink) {
-    const unsigned order =
-        static_cast<unsigned>(param_u64(req.params, "order", 3));
-    with_order(order, [&](auto kc) {
+    core::with_order(param_uint(req.params, "order", 3), [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
       const auto permutations =
-          static_cast<unsigned>(param_u64(req.params, "permutations", 19));
+          static_cast<unsigned>(param_uint(req.params, "permutations", 19));
       if (permutations == 0) reject("permutations expects >= 1");
-      const std::uint64_t seed = param_u64(req.params, "seed", 7);
+      const std::uint64_t seed = param_uint(req.params, "seed", 7);
       core::BasicDetectorOptions<K> dopt;
       dopt.objective = param_objective(req.params);
       dopt.top_k = 1;
@@ -535,23 +456,13 @@ struct ScanServer::Impl {
       const std::uint64_t total = rank_space(d.num_snps(), K);
       if (total == 0) reject("dataset has no order-" + std::to_string(K) +
                              " combinations");
-      // Partition 0 = observed labels; 1..P = nulls off the same SplitMix64
-      // stream as stats::permutation_test_of, so the payload is
+      // The partitions of stats::permutation_test_of, so the payload is
       // bit-identical to `trigen significance`.
-      std::vector<std::vector<dataset::Phenotype>> parts;
-      parts.reserve(permutations + 1);
-      std::vector<dataset::Phenotype> observed(d.num_samples());
-      for (std::size_t j = 0; j < d.num_samples(); ++j) {
-        observed[j] = d.phenotype(j);
-      }
-      parts.push_back(std::move(observed));
-      SplitMix64 seeds(seed);
-      for (unsigned p = 0; p < permutations; ++p) {
-        parts.push_back(stats::shuffled_labels(d, seeds.next()));
-      }
-      auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+      auto batch = dataset::PhenotypeBatch::build(
+          d.num_samples(),
+          stats::permutation_partitions(d, permutations, seed));
       auto job = std::make_shared<SignificanceJob<K>>(
-          req.id, sink, detector<K>(), std::move(dopt), std::move(batch),
+          req.id, sink, detectors.get<K>(), std::move(dopt), std::move(batch),
           permutations, combinatorics::RankRange{0, total},
           chunk_for(total));
       add_job(std::move(job), sink,

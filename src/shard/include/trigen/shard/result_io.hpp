@@ -158,6 +158,30 @@ BasicCheckpoint<Scored> read_checkpoint_file_as(const std::string& path);
 void write_text_file_durably(const std::string& path, const char* kind,
                              const std::string& body);
 
+// -- The token reader every TRIGEN-* text format shares ----------------------
+//
+// Shard results, checkpoints and the fleet lease table (fleet/state.hpp)
+// are whitespace-separated tokens.  These helpers read them strictly and
+// throw std::runtime_error("<kind>: <what>") naming the first violation;
+// `kind` names the artifact being read.
+
+/// The next token; a missing one is a truncated file.
+std::string next_token(std::istream& is, const char* kind, const char* what);
+/// The next token, which must be `key`.
+void expect_key(std::istream& is, const char* kind, const char* key);
+/// The next token as a trigen::parse_uint number in `base`.
+std::uint64_t read_u64(std::istream& is, const char* kind, const char* what,
+                       int base = 10);
+/// A `key <number>` line.
+std::uint64_t read_u64_field(std::istream& is, const char* kind,
+                             const char* key, int base = 10);
+/// The `end <magic>` trailer, followed by nothing but whitespace.
+void read_trailer(std::istream& is, const char* kind, const char* magic);
+
+/// A dataset fingerprint as 16 lowercase hex digits: its spelling in every
+/// file header and in the fleet lease grant.
+std::string format_fingerprint(std::uint64_t fp);
+
 // -- Re-splitting a live shard off its last durable checkpoint ---------------
 //
 // A partially scanned shard is exactly (a) the completed prefix
@@ -179,8 +203,8 @@ template <typename Scored>
 BasicShardResult<Scored> clip_to_prefix(const BasicCheckpoint<Scored>& c) {
   if (c.watermark <= c.range.first) {
     throw std::invalid_argument(
-        "clip_to_prefix: checkpoint over [" + std::to_string(c.range.first) +
-        ", " + std::to_string(c.range.last) + ") has no completed prefix");
+        "clip_to_prefix: checkpoint over " + combinatorics::to_string(c.range) +
+        " has no completed prefix");
   }
   BasicShardResult<Scored> r;
   r.fingerprint = c.fingerprint;

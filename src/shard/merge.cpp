@@ -9,12 +9,10 @@
 namespace trigen::shard {
 namespace {
 
+using combinatorics::to_string;
+
 [[noreturn]] void reject(const std::string& what) {
   throw std::runtime_error("shard merge: " + what);
-}
-
-std::string range_str(const combinatorics::RankRange& r) {
-  return "[" + std::to_string(r.first) + ", " + std::to_string(r.last) + ")";
 }
 
 /// The shared merge body.
@@ -29,26 +27,26 @@ BasicMergedScan<ResultT> merge_impl(
   const BasicShardResult<Scored>& ref = shards.front();
   for (const BasicShardResult<Scored>& s : shards) {
     if (s.fingerprint != ref.fingerprint) {
-      reject("fingerprint mismatch: shard " + range_str(s.range) +
+      reject("fingerprint mismatch: shard " + to_string(s.range) +
              " was scanned against a different dataset than shard " +
-             range_str(ref.range));
+             to_string(ref.range));
     }
     if (s.num_snps != ref.num_snps || s.num_samples != ref.num_samples) {
-      reject("dataset shape mismatch: shard " + range_str(s.range) + " has " +
+      reject("dataset shape mismatch: shard " + to_string(s.range) + " has " +
              std::to_string(s.num_snps) + " x " +
              std::to_string(s.num_samples) + ", shard " +
-             range_str(ref.range) + " has " + std::to_string(ref.num_snps) +
+             to_string(ref.range) + " has " + std::to_string(ref.num_snps) +
              " x " + std::to_string(ref.num_samples));
     }
     if (s.objective != ref.objective) {
-      reject("objective mismatch: shard " + range_str(s.range) + " used '" +
-             s.objective + "', shard " + range_str(ref.range) + " used '" +
+      reject("objective mismatch: shard " + to_string(s.range) + " used '" +
+             s.objective + "', shard " + to_string(ref.range) + " used '" +
              ref.objective + "'");
     }
     if (s.top_k != ref.top_k) {
-      reject("top_k mismatch: shard " + range_str(s.range) + " kept " +
+      reject("top_k mismatch: shard " + to_string(s.range) + " kept " +
              std::to_string(s.top_k) + " entries, shard " +
-             range_str(ref.range) + " kept " + std::to_string(ref.top_k));
+             to_string(ref.range) + " kept " + std::to_string(ref.top_k));
     }
   }
 
@@ -66,18 +64,18 @@ BasicMergedScan<ResultT> merge_impl(
   std::uint64_t expect = full ? 0 : by_rank.front()->range.first;
   for (const BasicShardResult<Scored>* s : by_rank) {
     if (s->range.first > expect) {
-      reject("coverage gap: ranks [" + std::to_string(expect) + ", " +
-             std::to_string(s->range.first) + ") are in no shard");
+      reject("coverage gap: ranks " + to_string({expect, s->range.first}) +
+             " are in no shard");
     }
     if (s->range.first < expect) {
-      reject("overlapping shards: shard " + range_str(s->range) +
+      reject("overlapping shards: shard " + to_string(s->range) +
              " re-covers ranks below " + std::to_string(expect));
     }
     expect = s->range.last;
   }
   if (full && expect < total) {
-    reject("coverage gap: ranks [" + std::to_string(expect) + ", " +
-           std::to_string(total) + ") are in no shard");
+    reject("coverage gap: ranks " + to_string({expect, total}) +
+           " are in no shard");
   }
 
   BasicMergedScan<ResultT> m;

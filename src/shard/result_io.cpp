@@ -16,6 +16,7 @@
 #endif
 
 #include "trigen/combinatorics/combinations.hpp"
+#include "trigen/common/parse.hpp"
 
 namespace trigen::shard {
 namespace {
@@ -38,6 +39,8 @@ constexpr std::uint64_t kMaxTopK = 1u << 24;
   throw std::runtime_error(std::string(kind) + ": " + what);
 }
 
+}  // namespace
+
 std::string next_token(std::istream& is, const char* kind, const char* what) {
   std::string tok;
   if (!(is >> tok)) {
@@ -53,23 +56,39 @@ void expect_key(std::istream& is, const char* kind, const char* key) {
   }
 }
 
-std::uint64_t parse_u64(const std::string& tok, const char* kind,
-                        const char* what, int base = 10) {
-  const char* begin = tok.c_str();
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &end, base);
-  if (end == begin || *end != '\0' || errno != 0 || tok[0] == '-') {
-    fail(kind, std::string("malformed ") + what + " '" + tok + "'");
-  }
-  return v;
+std::uint64_t read_u64(std::istream& is, const char* kind, const char* what,
+                       int base) {
+  const std::string tok = next_token(is, kind, what);
+  if (const auto v = parse_uint(tok, base)) return *v;
+  fail(kind, std::string("malformed ") + what + " '" + tok + "'");
 }
 
 std::uint64_t read_u64_field(std::istream& is, const char* kind,
-                             const char* key, int base = 10) {
+                             const char* key, int base) {
   expect_key(is, kind, key);
-  return parse_u64(next_token(is, kind, key), kind, key, base);
+  return read_u64(is, kind, key, base);
 }
+
+void read_trailer(std::istream& is, const char* kind, const char* magic) {
+  expect_key(is, kind, "end");
+  const std::string tok = next_token(is, kind, "trailer magic");
+  if (tok != magic) {
+    fail(kind, "trailer names '" + tok + "' (expected " + magic + ")");
+  }
+  std::string extra;
+  if (is >> extra) {
+    fail(kind, "trailing content after the end trailer: '" + extra + "'");
+  }
+}
+
+std::string format_fingerprint(std::uint64_t fp) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
+}
+
+namespace {
 
 double read_double(std::istream& is, const char* kind, const char* what) {
   const std::string tok = next_token(is, kind, what);
@@ -86,13 +105,6 @@ double read_double(std::istream& is, const char* kind, const char* what) {
 std::string format_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-std::string format_fingerprint(std::uint64_t fp) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fp));
   return buf;
 }
 
@@ -171,10 +183,8 @@ Header read_header(std::istream& is, const char* magic, const char* kind) {
     fail(kind, "implausible top_k " + std::to_string(h.top_k));
   }
   expect_key(is, kind, "range");
-  h.range.first = parse_u64(next_token(is, kind, "range first"), kind,
-                            "range first");
-  h.range.last = parse_u64(next_token(is, kind, "range last"), kind,
-                           "range last");
+  h.range.first = read_u64(is, kind, "range first");
+  h.range.last = read_u64(is, kind, "range last");
   // At order >= 4 a plausible SNP count can still overflow the u64 rank
   // fields; such a scan is unrepresentable in this format.
   std::uint64_t total = 0;
@@ -185,10 +195,9 @@ Header read_header(std::istream& is, const char* magic, const char* kind) {
                    "," + std::to_string(Order) + ") is not addressable");
   }
   if (h.range.first >= h.range.last || h.range.last > total) {
-    fail(kind, "invalid range [" + std::to_string(h.range.first) + ", " +
-                   std::to_string(h.range.last) + ") for C(" +
-                   std::to_string(h.num_snps) + "," + std::to_string(Order) +
-                   ") = " + std::to_string(total));
+    fail(kind, "invalid range " + combinatorics::to_string(h.range) +
+                   " for C(" + std::to_string(h.num_snps) + "," +
+                   std::to_string(Order) + ") = " + std::to_string(total));
   }
   return h;
 }
@@ -227,8 +236,7 @@ std::vector<Scored> read_entries(std::istream& is, const char* kind,
     std::array<std::uint32_t, Traits::kOrder> snps{};
     bool increasing = true;
     for (unsigned j = 0; j < Traits::kOrder; ++j) {
-      snps[j] = static_cast<std::uint32_t>(
-          parse_u64(next_token(is, kind, "entry snp"), kind, "entry snp"));
+      snps[j] = static_cast<std::uint32_t>(read_u64(is, kind, "entry snp"));
       if (j > 0 && snps[j] <= snps[j - 1]) increasing = false;
     }
     const double score = read_double(is, kind, "entry score");
@@ -252,18 +260,6 @@ std::vector<Scored> read_entries(std::istream& is, const char* kind,
     entries.push_back(s);
   }
   return entries;
-}
-
-void read_trailer(std::istream& is, const char* kind, const char* magic) {
-  expect_key(is, kind, "end");
-  const std::string tok = next_token(is, kind, "trailer magic");
-  if (tok != magic) {
-    fail(kind, "trailer names '" + tok + "' (expected " + magic + ")");
-  }
-  std::string extra;
-  if (is >> extra) {
-    fail(kind, "trailing content after the end trailer: '" + extra + "'");
-  }
 }
 
 /// EINTR/EAGAIN-class errno values: the syscall may succeed if simply

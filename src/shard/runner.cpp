@@ -62,10 +62,8 @@ std::optional<BasicCheckpoint<Scored>> adopt_checkpoint(
           std::to_string(fingerprint) + ")");
   }
   if (c.range.first != range.first || c.range.last != range.last) {
-    stale("'" + path + "' covers ranks [" + std::to_string(c.range.first) +
-          ", " + std::to_string(c.range.last) + "), this shard covers [" +
-          std::to_string(range.first) + ", " + std::to_string(range.last) +
-          ")");
+    stale("'" + path + "' covers ranks " + combinatorics::to_string(c.range) +
+          ", this shard covers " + combinatorics::to_string(range));
   }
   if (c.top_k != top_k) {
     stale("'" + path + "' has top_k " + std::to_string(c.top_k) +
@@ -91,9 +89,9 @@ BasicShardRunReport<Scored> run_shard_impl(
   const combinatorics::RankRange range = options.range;
   if (range.empty() || range.last > total) {
     throw std::invalid_argument(
-        "run_shard: shard range [" + std::to_string(range.first) + ", " +
-        std::to_string(range.last) + ") is empty or exceeds C(M," +
-        std::to_string(Traits::kOrder) + ") = " + std::to_string(total));
+        "run_shard: shard range " + combinatorics::to_string(range) +
+        " is empty or exceeds C(M," + std::to_string(Traits::kOrder) +
+        ") = " + std::to_string(total));
   }
   if (options.detector.top_k == 0) {
     throw std::invalid_argument("run_shard: top_k must be >= 1");

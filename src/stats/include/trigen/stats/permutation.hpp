@@ -99,6 +99,20 @@ extern template BasicPermutationTestResult<6> permutation_test_of<6>(
 std::vector<dataset::Phenotype> shuffled_labels(
     const dataset::GenotypeMatrix& d, std::uint64_t seed);
 
+/// The label partitions of a batched permutation test: partition 0 is the
+/// observed labeling of `d`, partitions 1..permutations are
+/// shuffled_labels(d, ·) seeded by one SplitMix64(seed) stream — the same
+/// nulls, in the same order, as the sequential path.  Shared by
+/// permutation_test_of and the resident server's significance job.
+std::vector<std::vector<dataset::Phenotype>> permutation_partitions(
+    const dataset::GenotypeMatrix& d, unsigned permutations,
+    std::uint64_t seed);
+
+/// The empirical p-value (1 + #{null <= observed}) / (nulls + 1) over
+/// normalized lower-is-better scores.
+double empirical_p_value(double observed,
+                         const std::vector<double>& null_scores);
+
 /// Phenotype-shuffled copy of `d` (Fisher-Yates, deterministic in `seed`);
 /// exposed for tests and custom pipelines.  Identical shuffle stream as
 /// shuffled_labels(d, seed) — callers that only need the labels should

@@ -12,15 +12,36 @@ namespace trigen::stats {
 
 std::vector<dataset::Phenotype> shuffled_labels(
     const dataset::GenotypeMatrix& d, std::uint64_t seed) {
-  std::vector<dataset::Phenotype> labels(d.num_samples());
-  for (std::size_t j = 0; j < d.num_samples(); ++j) {
-    labels[j] = d.phenotype(j);
-  }
+  std::vector<dataset::Phenotype> labels(d.phenotypes().begin(),
+                                         d.phenotypes().end());
   Xoshiro256 rng(seed);
   for (std::size_t j = labels.size(); j > 1; --j) {  // Fisher-Yates
     std::swap(labels[j - 1], labels[rng.bounded(j)]);
   }
   return labels;
+}
+
+std::vector<std::vector<dataset::Phenotype>> permutation_partitions(
+    const dataset::GenotypeMatrix& d, unsigned permutations,
+    std::uint64_t seed) {
+  std::vector<std::vector<dataset::Phenotype>> parts;
+  parts.reserve(permutations + 1);
+  parts.emplace_back(d.phenotypes().begin(), d.phenotypes().end());
+  SplitMix64 seeds(seed);
+  for (unsigned p = 0; p < permutations; ++p) {
+    parts.push_back(shuffled_labels(d, seeds.next()));
+  }
+  return parts;
+}
+
+double empirical_p_value(double observed,
+                         const std::vector<double>& null_scores) {
+  std::size_t as_good = 0;
+  for (const double s : null_scores) {
+    if (s <= observed) ++as_good;
+  }
+  return static_cast<double>(1 + as_good) /
+         static_cast<double>(null_scores.size() + 1);
 }
 
 dataset::GenotypeMatrix shuffle_phenotypes(const dataset::GenotypeMatrix& d,
@@ -61,7 +82,6 @@ BasicPermutationTestResult<K> permutation_test_sequential(
   result.null_scores.reserve(permutations);
   SplitMix64 seeds(seed);
   dataset::GenotypeMatrix working = d;  // single copy, relabeled per null
-  unsigned as_good = 0;
   for (unsigned p = 0; p < permutations; ++p) {
     const std::vector<dataset::Phenotype> labels =
         shuffled_labels(d, seeds.next());
@@ -69,12 +89,10 @@ BasicPermutationTestResult<K> permutation_test_sequential(
       working.set_phenotype(j, labels[j]);
     }
     const Detector det(working);
-    const double best = det.run(dopt).best.front().score;
-    result.null_scores.push_back(best);
-    if (best <= result.observed.score) ++as_good;
+    result.null_scores.push_back(det.run(dopt).best.front().score);
   }
-  result.p_value = static_cast<double>(1 + as_good) /
-                   static_cast<double>(permutations + 1);
+  result.p_value =
+      empirical_p_value(result.observed.score, result.null_scores);
   return result;
 }
 
@@ -91,21 +109,8 @@ BasicPermutationTestResult<K> permutation_test_batched(
   BasicPermutationTestResult<K> result;
   result.null_scores.resize(permutations);
 
-  // Partition 0 is the observed labeling; the same SplitMix64 stream as the
-  // sequential path seeds each null's Fisher-Yates shuffle.
-  std::vector<std::vector<dataset::Phenotype>> parts;
-  parts.reserve(permutations + 1);
-  {
-    std::vector<dataset::Phenotype> observed(d.num_samples());
-    for (std::size_t j = 0; j < d.num_samples(); ++j) {
-      observed[j] = d.phenotype(j);
-    }
-    parts.push_back(std::move(observed));
-  }
-  SplitMix64 seeds(seed);
-  for (unsigned p = 0; p < permutations; ++p) {
-    parts.push_back(shuffled_labels(d, seeds.next()));
-  }
+  std::vector<std::vector<dataset::Phenotype>> parts =
+      permutation_partitions(d, permutations, seed);
 
   const Detector det(d);
   const std::size_t total = parts.size();
@@ -139,12 +144,8 @@ BasicPermutationTestResult<K> permutation_test_batched(
     }
   }
 
-  unsigned as_good = 0;
-  for (const double s : result.null_scores) {
-    if (s <= result.observed.score) ++as_good;
-  }
-  result.p_value = static_cast<double>(1 + as_good) /
-                   static_cast<double>(permutations + 1);
+  result.p_value =
+      empirical_p_value(result.observed.score, result.null_scores);
   return result;
 }
 

@@ -1,11 +1,14 @@
 // Option validation of the `trigen` binary, driven as a subprocess: every
 // subcommand rejects an option it does not read (exit 2, naming the option
-// and the subcommand) before touching its inputs, and accepts every option
-// its own usage synopsis documents.
+// and the subcommand) before touching its inputs, accepts every option its
+// own usage synopsis documents, and rejects a malformed order, version,
+// range or objective value (exit 2) instead of running with a truncated
+// or default one — as does the gwas_scan example.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <regex>
@@ -22,9 +25,10 @@ struct CliRun {
   std::string output;  // stdout and stderr, interleaved
 };
 
-/// Runs the CLI with `args` (none may contain a single quote).
-CliRun run_cli(const std::vector<std::string>& args) {
-  std::string cmd = "'" TRIGEN_CLI_PATH "'";
+/// Runs `binary` with `args` (none may contain a single quote).
+CliRun run_binary(const std::string& binary,
+                  const std::vector<std::string>& args) {
+  std::string cmd = "'" + binary + "'";
   for (const std::string& a : args) cmd += " '" + a + "'";
   cmd += " 2>&1";
   CliRun r;
@@ -36,6 +40,11 @@ CliRun run_cli(const std::vector<std::string>& args) {
   const int status = ::pclose(p);
   if (status != -1 && WIFEXITED(status)) r.code = WEXITSTATUS(status);
   return r;
+}
+
+/// Runs the CLI with `args`.
+CliRun run_cli(const std::vector<std::string>& args) {
+  return run_binary(TRIGEN_CLI_PATH, args);
 }
 
 /// The `--key` names in the usage synopsis of `help`: the `usage:` line
@@ -154,6 +163,92 @@ TEST_P(CliNegativeCount, ExitsTwoNamingTheOptionBeforeReadingInputs) {
   EXPECT_NE(r.output.find(option + " expects a non-negative integer"),
             std::string::npos)
       << r.output;
+}
+
+// --------------------------------------------------------------------------
+// Malformed scan-vocabulary tokens
+// --------------------------------------------------------------------------
+
+/// A value the shared parsers must reject with exit 2 even when the input
+/// is valid: a trailing byte, a wrapped order or an unknown objective may
+/// not fall back to a default and run.
+struct MalformedToken {
+  const char* name;
+  const char* binary;
+  std::vector<std::string> args;  ///< "@data" is a generated dataset
+  const char* message;
+};
+
+void PrintTo(const MalformedToken& m, std::ostream* os) { *os << m.name; }
+
+std::vector<MalformedToken> malformed_tokens() {
+  std::vector<MalformedToken> v = {
+      {"scan_order_junk", TRIGEN_CLI_PATH,
+       {"scan", "@data", "--order", "3junk"},
+       "--order expects a non-negative integer"},
+      {"scan_order_unsupported", TRIGEN_CLI_PATH,
+       {"scan", "@data", "--order", "7"}, "unsupported order 7"},
+      {"scan_version_junk", TRIGEN_CLI_PATH,
+       {"scan", "@data", "--version", "5x"},
+       "--version expects a non-negative integer"},
+      {"scan_range_junk", TRIGEN_CLI_PATH,
+       {"scan", "@data", "--range", "0:10junk"},
+       "--range expects FIRST:LAST"},
+      {"scan_objective_unknown", TRIGEN_CLI_PATH,
+       {"scan", "@data", "--objective", "foo"},
+       "unknown objective 'foo' (k2|mi|chi2)"},
+      {"significance_order_junk", TRIGEN_CLI_PATH,
+       {"significance", "@data", "--order", "2x"},
+       "--order expects a non-negative integer"},
+      // 2^32 + 3 once wrapped to order 3 through an unsigned cast.
+      {"coordinate_order_wraps", TRIGEN_CLI_PATH,
+       {"coordinate", "no-such-dataset.tgb", "--out", "x.csv", "--order",
+        "4294967299"},
+       "unsupported order 4294967299"},
+  };
+#ifdef TRIGEN_GWAS_SCAN_PATH
+  v.push_back({"gwas_scan_objective_unknown", TRIGEN_GWAS_SCAN_PATH,
+               {"@data", "--objective", "foo"},
+               "unknown objective 'foo' (k2|mi|chi2)"});
+  v.push_back({"gwas_scan_top_junk", TRIGEN_GWAS_SCAN_PATH,
+               {"@data", "--top", "5x"},
+               "--top expects a non-negative integer"});
+#endif
+  return v;
+}
+
+class CliMalformedToken : public ::testing::TestWithParam<MalformedToken> {
+ protected:
+  // One dataset per process: ctest runs every case as its own process,
+  // in parallel, so a shared path would be read while another writes it.
+  static void SetUpTestSuite() {
+    data_ = ::testing::TempDir() + "/trigen_cli_tokens_" +
+            std::to_string(::getpid()) + ".tg";
+    const CliRun r = run_cli({"generate", data_, "--snps", "12", "--samples",
+                              "64", "--seed", "3"});
+    ASSERT_EQ(r.code, 0) << r.output;
+  }
+  static void TearDownTestSuite() { std::remove(data_.c_str()); }
+  static std::string data_;
+};
+
+std::string CliMalformedToken::data_;
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, CliMalformedToken, ::testing::ValuesIn(malformed_tokens()),
+    [](const ::testing::TestParamInfo<MalformedToken>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_P(CliMalformedToken, ExitsTwoNamingTheValue) {
+  const MalformedToken& m = GetParam();
+  std::vector<std::string> args = m.args;
+  for (std::string& a : args) {
+    if (a == "@data") a = data_;
+  }
+  const CliRun r = run_binary(m.binary, args);
+  EXPECT_EQ(r.code, 2) << r.output;
+  EXPECT_NE(r.output.find(m.message), std::string::npos) << r.output;
 }
 
 // --------------------------------------------------------------------------

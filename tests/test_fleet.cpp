@@ -390,8 +390,10 @@ struct Rig {
     FAIL() << "fleet did not drain";
   }
 
-  std::vector<std::string> reference_csv() {
+  std::vector<std::string> reference_csv(
+      core::Objective objective = core::Objective::kK2) {
     core::DetectorOptions opt;
+    opt.objective = objective;
     opt.top_k = 8;
     return core::scan_csv_lines<3>(det.run(opt).best);
   }
@@ -428,6 +430,22 @@ TEST(FleetCoordinator, GrantCarriesTheScanContract) {
   const Reply r2 = rig.submit("lease w1");
   ASSERT_EQ(r2.verb, "lease");
   EXPECT_EQ(Rig::range_of(r).last, Rig::range_of(r2).first);
+}
+
+TEST(FleetCoordinator, GrantedObjectiveParsesBackForEveryObjective) {
+  // The grant is read by the worker's parser, core::parse_objective; every
+  // objective a coordinator can scan must survive that round trip.
+  for (const core::Objective o :
+       {core::Objective::kK2, core::Objective::kMutualInformation,
+        core::Objective::kChiSquared}) {
+    Rig rig("grant_" + core::objective_token(o));
+    auto co = rig.base_options();
+    co.objective = o;
+    rig.reopen(co);
+    const Reply r = rig.submit("lease w1");
+    ASSERT_EQ(r.verb, "lease") << r.raw;
+    EXPECT_EQ(core::parse_objective(r.params.at("objective")), o) << r.raw;
+  }
 }
 
 TEST(FleetCoordinator, ExpiredLeaseIsReassignedWithBackoff) {
@@ -643,9 +661,22 @@ TEST(FleetProtocol, ParsesFleetVerbs) {
 
 #ifndef _WIN32
 
-TEST(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
-  Rig rig("socket");  // only borrowing the dataset/reference helpers
+/// Objective tokens of the scan vocabulary (`--objective`, `objective=`).
+class FleetSocket : public ::testing::TestWithParam<std::string> {};
+
+// No instantiation prefix: the tests keep their `FleetSocket.` names, which
+// the CI ThreadSanitizer leg selects with `ctest -R '^(Serve|Fleet)'`.
+INSTANTIATE_TEST_SUITE_P(
+    , FleetSocket, ::testing::Values("k2", "mi", "chi2"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST_P(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
+  const core::Objective objective = core::parse_objective(GetParam());
+  Rig rig("socket_" + GetParam());  // borrowing the dataset/reference only
   auto co = rig.base_options();
+  co.objective = objective;
   co.shards = 6;
   co.lease_ms = 30000;  // real clock from here on; no fake expiries
   co.now_ms = {};
@@ -679,13 +710,13 @@ TEST(FleetSocket, TwoWorkersDrainTheFleetBitIdentically) {
   EXPECT_EQ(endpoint_rc, 0);
   EXPECT_EQ(rc1, 0);
   EXPECT_EQ(rc2, 0);
-  EXPECT_EQ(coordinator.final_csv(), rig.reference_csv());
+  EXPECT_EQ(coordinator.final_csv(), rig.reference_csv(objective));
   // And the CSV file the coordinator wrote matches line for line.
   std::ifstream csv(rig.spool + "/fleet.csv");
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(csv, line)) lines.push_back(line);
-  EXPECT_EQ(lines, rig.reference_csv());
+  EXPECT_EQ(lines, rig.reference_csv(objective));
 }
 
 #endif  // !_WIN32

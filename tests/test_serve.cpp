@@ -232,6 +232,14 @@ TEST(ServeServer, RejectsBadRequestsAndStaysOperational) {
   EXPECT_TRUE(server.submit_line("scan j1 range=0:999999", c.sink()));
   EXPECT_TRUE(server.submit_line("significance j1 permutations=-3",
                                  c.sink()));
+  // Trailing bytes and wrap-around values are rejected, not truncated.
+  EXPECT_TRUE(server.submit_line("scan j1 range=0:10junk", c.sink()));
+  EXPECT_TRUE(server.submit_line("scan j1 range=0:10:20", c.sink()));
+  EXPECT_TRUE(server.submit_line("scan j1 order=3junk", c.sink()));
+  EXPECT_TRUE(server.submit_line("scan j1 order=4294967299", c.sink()));
+  EXPECT_TRUE(server.submit_line("scan j1 version=5x", c.sink()));
+  EXPECT_TRUE(server.submit_line("significance j1 objective=foo",
+                                 c.sink()));
   EXPECT_TRUE(server.submit_line("cancel ghost", c.sink()));
   for (const auto& l : c.lines()) {
     EXPECT_EQ(l.compare(0, 6, "error "), 0) << l;

@@ -36,7 +36,7 @@
 #include "trigen/baseline/mpi3snp.hpp"
 #include "trigen/common/args.hpp"
 #include "trigen/common/table.hpp"
-#include "trigen/core/detector.hpp"
+#include "trigen/core/order_dispatch.hpp"
 #include "trigen/core/scan_csv.hpp"
 #include "trigen/dataset/io.hpp"
 #include "trigen/dataset/synthetic.hpp"
@@ -94,16 +94,36 @@ void install_interrupt_handler() {
 #endif
 }
 
-/// --KEY with strict non-negative parsing; a negative or garbage value is
-/// a usage error (exit 2), not a silent two's-complement wrap into ~2^64.
-std::uint64_t get_uint_or_die(const Args& a, const std::string& key,
-                              std::uint64_t fallback) {
+/// Runs one of the shared scan-vocabulary parsers at parse time: its
+/// std::invalid_argument is a usage error (exit 2), not a crash.
+template <typename Parse>
+decltype(auto) parse_or_die(Parse&& parse) {
   try {
-    return a.get_uint(key, fallback);
+    return parse();
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
+}
+
+/// --KEY with strict non-negative parsing; a negative or garbage value is
+/// a usage error (exit 2), not a silent two's-complement wrap into ~2^64.
+std::uint64_t get_uint_or_die(const Args& a, const std::string& key,
+                              std::uint64_t fallback) {
+  return parse_or_die([&] { return a.get_uint(key, fallback); });
+}
+
+core::Objective get_objective_or_die(const Args& a) {
+  return parse_or_die(
+      [&] { return core::parse_objective(a.get("objective", "k2")); });
+}
+
+/// --order (default 3), checked against the orders the shared dispatch
+/// instantiates before any input is read.
+std::uint64_t get_order_or_die(const Args& a) {
+  const std::uint64_t order = get_uint_or_die(a, "order", 3);
+  parse_or_die([&] { core::check_order(order); });
+  return order;
 }
 
 dataset::GenotypeMatrix load(const std::string& path) {
@@ -136,43 +156,34 @@ core::ProgressFn make_progress_printer(std::string label) {
   };
 }
 
-core::Objective parse_objective(const std::string& s) {
-  if (s == "k2") return core::Objective::kK2;
-  if (s == "mi") return core::Objective::kMutualInformation;
-  if (s == "chi2") return core::Objective::kChiSquared;
-  std::fprintf(stderr, "unknown objective '%s' (k2|mi|chi2)\n", s.c_str());
-  std::exit(2);
-}
-
-/// Parse-time --version validation: rejects anything outside 1..5 with a
-/// message naming the ladder rungs and the vector ISAs this binary carries
-/// (and whether this host can run them), instead of failing deep inside
-/// the detector.
-core::CpuVersion parse_version(const Args& a) {
-  const long v = a.get_int("version", 4);
-  switch (v) {
-    case 1: return core::CpuVersion::kV1Naive;
-    case 2: return core::CpuVersion::kV2Split;
-    case 3: return core::CpuVersion::kV3Blocked;
-    case 4: return core::CpuVersion::kV4Vector;
-    case 5: return core::CpuVersion::kV5PairCache;
-    default: break;
-  }
+/// "avx2, avx512 (not on this host), ...": the vector ISAs this binary
+/// carries, for the --version / --isa rejection messages.
+std::string compiled_isas() {
   std::string isas;
   for (const core::KernelIsa isa : core::all_kernel_isas()) {
     if (!isas.empty()) isas += ", ";
     isas += core::kernel_isa_name(isa);
     if (!core::kernel_available(isa)) isas += " (not on this host)";
   }
+  return isas;
+}
+
+/// Parse-time --version validation: rejects anything outside 1..5 with a
+/// message naming the ladder rungs and the vector ISAs this binary carries
+/// (and whether this host can run them), instead of failing deep inside
+/// the detector.
+core::CpuVersion get_version_or_die(const Args& a) {
+  const std::uint64_t v = get_uint_or_die(a, "version", 4);
+  if (const auto version = core::cpu_version_from_number(v)) return *version;
   std::fprintf(stderr,
                "--version expects 1..5: 1 naive planes, 2 split planes, "
                "3 + L1 blocking, 4 + vector kernels, 5 + pair-plane cache "
-               "(got %ld)\nvector ISAs in this binary: %s\n",
-               v, isas.c_str());
+               "(got %llu)\nvector ISAs in this binary: %s\n",
+               static_cast<unsigned long long>(v), compiled_isas().c_str());
   std::exit(2);
 }
 
-/// Parse-time --isa / $TRIGEN_ISA validation, mirroring parse_version:
+/// Parse-time --isa / $TRIGEN_ISA validation, mirroring get_version_or_die:
 /// rejects unknown names with the list of ISAs this binary carries (and
 /// whether this host can run them) instead of failing inside the detector.
 /// Returns nullopt for the default ("auto" or unset): keep auto-dispatch.
@@ -185,24 +196,18 @@ std::optional<core::KernelIsa> parse_isa_flag(const Args& a) {
   }
   if (name.empty() || name == "auto") return std::nullopt;
   const auto isa = core::parse_kernel_isa(name);
-  std::string isas;
-  for (const core::KernelIsa i : core::all_kernel_isas()) {
-    if (!isas.empty()) isas += ", ";
-    isas += core::kernel_isa_name(i);
-    if (!core::kernel_available(i)) isas += " (not on this host)";
-  }
   if (!isa) {
     std::fprintf(stderr,
                  "--isa/TRIGEN_ISA expects a vector ISA name or 'auto' "
                  "(got '%s')\nvector ISAs in this binary: %s\n",
-                 name.c_str(), isas.c_str());
+                 name.c_str(), compiled_isas().c_str());
     std::exit(2);
   }
   if (!core::kernel_available(*isa)) {
     std::fprintf(stderr,
                  "--isa %s: compiled in but this host cannot execute it\n"
                  "vector ISAs in this binary: %s\n",
-                 name.c_str(), isas.c_str());
+                 name.c_str(), compiled_isas().c_str());
     std::exit(2);
   }
   return isa;
@@ -383,10 +388,10 @@ int cmd_scan_generic(const Args& a) {
   // Validate cheap flags before touching the dataset, so a typo'd
   // `--version` fails instantly even on a multi-gigabyte input.
   typename Cli::DetectorOptions opt;
-  opt.objective = parse_objective(a.get("objective", "k2"));
+  opt.objective = get_objective_or_die(a);
   opt.top_k = get_uint_or_die(a, "top", 10);
   opt.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
-  opt.version = parse_version(a);
+  opt.version = get_version_or_die(a);
   if (const auto isa = parse_isa_flag(a)) {
     opt.isa = *isa;
     opt.isa_auto = false;
@@ -427,16 +432,14 @@ int cmd_scan_generic(const Args& a) {
                                          bs, Cli::kOrder);
     opt.range = plan[static_cast<std::size_t>(i)];
   } else if (a.has("range")) {
-    unsigned long long first = 0, last = 0;
-    if (std::sscanf(a.get("range", "").c_str(), "%llu:%llu", &first, &last) !=
-            2 ||
-        first >= last || last > total) {
+    const auto range = combinatorics::parse_rank_range(a.get("range", ""));
+    if (!range || range->first >= range->last || range->last > total) {
       std::fprintf(stderr,
                    "--range expects FIRST:LAST with FIRST < LAST <= %llu\n",
                    static_cast<unsigned long long>(total));
       return 2;
     }
-    opt.range = {first, last};
+    opt.range = *range;
   }
   const combinatorics::RankRange eff =
       opt.range.empty() ? combinatorics::RankRange{0, total} : opt.range;
@@ -526,17 +529,9 @@ int cmd_scan_generic(const Args& a) {
 /// `scan2` is the historical spelling of --order 2.  The runtime order
 /// picks the compile-time instantiation of the one generic engine.
 int cmd_scan(const Args& a) {
-  switch (a.get_int("order", 3)) {
-    case 2: return cmd_scan_generic<OrderCli<2>>(a);
-    case 3: return cmd_scan_generic<OrderCli<3>>(a);
-    case 4: return cmd_scan_generic<OrderCli<4>>(a);
-    case 5: return cmd_scan_generic<OrderCli<5>>(a);
-    case 6: return cmd_scan_generic<OrderCli<6>>(a);
-    default: break;
-  }
-  std::fprintf(stderr, "--order expects an interaction order in [2, %u]\n",
-               combinatorics::kMaxOrder);
-  return 2;
+  return core::with_order(get_order_or_die(a), [&](auto kc) {
+    return cmd_scan_generic<OrderCli<decltype(kc)::value>>(a);
+  });
 }
 
 int cmd_scan2(const Args& a) { return cmd_scan_generic<OrderCli<2>>(a); }
@@ -587,17 +582,11 @@ int cmd_merge(const Args& a) {
   }
   // The first file picks the order; a mixed set fails inside the readers
   // with a precise order-mismatch error.
-  switch (shard::probe_shard_order(a.positional[0])) {
-    case 2: return cmd_merge_generic<OrderCli<2>>(a);
-    case 3: return cmd_merge_generic<OrderCli<3>>(a);
-    case 4: return cmd_merge_generic<OrderCli<4>>(a);
-    case 5: return cmd_merge_generic<OrderCli<5>>(a);
-    case 6: return cmd_merge_generic<OrderCli<6>>(a);
-    default: break;
-  }
-  // Out-of-range orders fall through to the reader for its precise
-  // "unsupported order" message.
-  return cmd_merge_generic<OrderCli<3>>(a);
+  return core::with_order(shard::probe_shard_order(a.positional[0]),
+                          [&](auto kc) {
+                            return cmd_merge_generic<
+                                OrderCli<decltype(kc)::value>>(a);
+                          });
 }
 
 int cmd_baseline(const Args& a) {
@@ -667,23 +656,17 @@ int cmd_significance(const Args& a) {
   const auto permutations =
       static_cast<unsigned>(get_uint_or_die(a, "permutations", 19));
   const auto seed = static_cast<std::uint64_t>(a.get_int("seed", 7));
-  const auto objective = parse_objective(a.get("objective", "k2"));
+  const auto objective = get_objective_or_die(a);
   const auto threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
   const auto batch = static_cast<unsigned>(get_uint_or_die(a, "batch", 0));
   const bool progress = a.has("progress");
   const auto isa = parse_isa_flag(a);
+  const std::uint64_t order = get_order_or_die(a);
   const auto d = load(a.positional[0]);
-  switch (a.get_int("order", 3)) {
-    case 2: return cmd_significance_of<2>(d, permutations, seed, objective, threads, batch, progress, isa);
-    case 3: return cmd_significance_of<3>(d, permutations, seed, objective, threads, batch, progress, isa);
-    case 4: return cmd_significance_of<4>(d, permutations, seed, objective, threads, batch, progress, isa);
-    case 5: return cmd_significance_of<5>(d, permutations, seed, objective, threads, batch, progress, isa);
-    case 6: return cmd_significance_of<6>(d, permutations, seed, objective, threads, batch, progress, isa);
-    default: break;
-  }
-  std::fprintf(stderr, "--order expects an interaction order in [2, %u]\n",
-               combinatorics::kMaxOrder);
-  return 2;
+  return core::with_order(order, [&](auto kc) {
+    return cmd_significance_of<decltype(kc)::value>(
+        d, permutations, seed, objective, threads, batch, progress, isa);
+  });
 }
 
 /// `trigen serve`: load the dataset once, service an async job queue.
@@ -754,8 +737,8 @@ int cmd_coordinate(const Args& a) {
     return a.has("help") ? 0 : 2;
   }
   fleet::CoordinatorOptions co;
-  co.order = static_cast<unsigned>(get_uint_or_die(a, "order", 3));
-  co.objective = parse_objective(a.get("objective", "k2"));
+  co.order = static_cast<unsigned>(get_order_or_die(a));
+  co.objective = get_objective_or_die(a);
   co.top_k = get_uint_or_die(a, "top", 10);
   co.shards = static_cast<unsigned>(get_uint_or_die(a, "shards", 16));
   if (a.get("split", "even") == "block") {
@@ -815,7 +798,7 @@ int cmd_work(const Args& a) {
   wo.id = a.get("id", "worker");
 #endif
   wo.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
-  wo.version = parse_version(a);
+  wo.version = get_version_or_die(a);
   wo.isa = parse_isa_flag(a);
   wo.poll_ms = get_uint_or_die(a, "poll-ms", 200);
   wo.reconnect_ms = get_uint_or_die(a, "reconnect-ms", 15000);
