@@ -134,10 +134,10 @@ std::function<double(const ContingencyTable&)> make_normalized_scorer(
       auto k2 = std::make_shared<scoring::K2Score>(num_samples);
       return [k2](const ContingencyTable& t) { return (*k2)(t); };
     }
-    case Objective::kMutualInformation:
-      return [mi = scoring::MutualInformation{}](const ContingencyTable& t) {
-        return -mi(t);
-      };
+    case Objective::kMutualInformation: {
+      auto mi = std::make_shared<scoring::MutualInformationTable>(num_samples);
+      return [mi](const ContingencyTable& t) { return -(*mi)(t); };
+    }
     case Objective::kChiSquared:
       return [chi = scoring::ChiSquared{}](const ContingencyTable& t) {
         return -chi(t);
@@ -161,10 +161,11 @@ make_normalized_scorer_of(Objective o, std::uint32_t num_samples) {
           return scoring::k2_score_cells(*logfact, t.counts[0], t.counts[1]);
         };
       }
-      case Objective::kMutualInformation:
-        return [](const Table& t) {
-          return -scoring::mutual_information_cells(t.counts[0], t.counts[1]);
-        };
+      case Objective::kMutualInformation: {
+        auto mi =
+            std::make_shared<scoring::MutualInformationTable>(num_samples);
+        return [mi](const Table& t) { return -(*mi)(t); };
+      }
       case Objective::kChiSquared:
         return [](const Table& t) {
           return -scoring::chi_squared_cells(t.counts[0], t.counts[1]);

@@ -79,8 +79,10 @@ std::string objective_token(Objective o);
 Objective parse_objective(const std::string& token);
 
 /// Scorer for `o` normalized to lower-is-better (MI and X^2 are negated),
-/// sized for datasets of `num_samples`.  Shared by the CPU detector, the
-/// GPU simulator and the baseline engine so scores are comparable.
+/// sized for datasets of `num_samples`: K2 and MI score by table lookups
+/// (scoring::K2Score, scoring::MutualInformationTable), built once per
+/// scorer and shared by its copies.  Shared by the CPU detector, the GPU
+/// simulator and the baseline engine so scores are comparable.
 std::function<double(const scoring::ContingencyTable&)> make_normalized_scorer(
     Objective o, std::uint32_t num_samples);
 
@@ -128,7 +130,7 @@ struct BasicDetectorOptions : ScanOptionsBase {
   /// Optional pre-built scorer overriding `objective` (must be normalized
   /// to lower-is-better, e.g. from make_normalized_scorer_of<K>).  Lets
   /// repeated scans — permutation testing above all — share one
-  /// log-factorial table instead of rebuilding scorer state per run.
+  /// log-factorial or MI table instead of rebuilding scorer state per run.
   std::function<double(const scoring::BasicContingencyTable<K>&)> scorer{};
 };
 

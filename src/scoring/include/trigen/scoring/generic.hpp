@@ -11,6 +11,7 @@
 #include <span>
 
 #include "trigen/scoring/k2.hpp"
+#include "trigen/scoring/mutual_information.hpp"  // mutual_information_cells
 
 namespace trigen::scoring {
 
@@ -25,34 +26,6 @@ inline double k2_score_cells(const LogFactorialTable& logfact,
              logfact(cases[i]);
   }
   return score;
-}
-
-/// Plug-in mutual information I(G; C) in nats over cell arrays of any
-/// length.  Higher is better.
-inline double mutual_information_cells(std::span<const std::uint32_t> controls,
-                                       std::span<const std::uint32_t> cases) {
-  double n = 0.0, n0 = 0.0, n1 = 0.0;
-  for (std::size_t i = 0; i < controls.size(); ++i) {
-    n0 += controls[i];
-    n1 += cases[i];
-  }
-  n = n0 + n1;
-  if (n == 0.0) return 0.0;
-
-  double h_c = 0.0;
-  if (n0 > 0.0) h_c -= n0 / n * std::log(n0 / n);
-  if (n1 > 0.0) h_c -= n1 / n * std::log(n1 / n);
-
-  double h_g = 0.0, h_gc = 0.0;
-  for (std::size_t i = 0; i < controls.size(); ++i) {
-    const double j0 = controls[i] / n;
-    const double j1 = cases[i] / n;
-    const double marg = j0 + j1;
-    if (marg > 0.0) h_g -= marg * std::log(marg);
-    if (j0 > 0.0) h_gc -= j0 * std::log(j0);
-    if (j1 > 0.0) h_gc -= j1 * std::log(j1);
-  }
-  return h_g + h_c - h_gc;
 }
 
 /// Pearson X^2 over cell arrays of any length.  Higher is better.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -444,9 +445,13 @@ struct ScanServer::Impl {
   void submit_significance(const Request& req, const EventSink& sink) {
     core::with_order(param_uint(req.params, "order", 3), [&](auto kc) {
       constexpr unsigned K = decltype(kc)::value;
-      const auto permutations =
-          static_cast<unsigned>(param_uint(req.params, "permutations", 19));
-      if (permutations == 0) reject("permutations expects >= 1");
+      const std::uint64_t requested =
+          param_uint(req.params, "permutations", 19);
+      if (requested == 0 || requested > std::numeric_limits<unsigned>::max()) {
+        reject("permutations expects 1.." +
+               std::to_string(std::numeric_limits<unsigned>::max()));
+      }
+      const auto permutations = static_cast<unsigned>(requested);
       const std::uint64_t seed = param_uint(req.params, "seed", 7);
       core::BasicDetectorOptions<K> dopt;
       dopt.objective = param_objective(req.params);

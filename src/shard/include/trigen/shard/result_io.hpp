@@ -147,8 +147,8 @@ template <typename Scored>
 BasicCheckpoint<Scored> read_checkpoint_file_as(const std::string& path);
 
 /// The write→fsync→rename→fsync(parent dir) path every durable trigen
-/// artifact uses (shard results, checkpoints, tuning profiles via their own
-/// copy, and the fleet coordinator's lease table): `body` is rendered in
+/// artifact uses (shard results, checkpoints, and the fleet coordinator's
+/// lease table and final CSV): `body` is rendered in
 /// memory by the caller, fsynced into `path + ".tmp"` — retrying
 /// EINTR/EAGAIN with bounded backoff — renamed over `path`, and the parent
 /// directory is synced so the rename survives power loss.  `kind` names the

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -42,12 +41,7 @@ using dataset::PhenotypeBatch;
 using dataset::Word;
 using trigen::test::random_dataset;
 
-bool same_bits(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
-}
+using trigen::test::same_bits;
 
 std::vector<KernelIsa> compiled_isas() {
   std::vector<KernelIsa> isas;

@@ -165,6 +165,55 @@ TEST_P(CliNegativeCount, ExitsTwoNamingTheOptionBeforeReadingInputs) {
       << r.output;
 }
 
+/// A 32-bit count option and the arguments its subcommand needs to reach
+/// the option's parse without an input: the dataset path does not exist.
+struct U32Option {
+  const char* name;
+  std::vector<std::string> args;
+  const char* option;
+};
+
+void PrintTo(const U32Option& c, std::ostream* os) { *os << c.name; }
+
+class CliCountBeyond32Bits : public ::testing::TestWithParam<U32Option> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Options, CliCountBeyond32Bits,
+    ::testing::Values(
+        U32Option{"scan_threads", {"scan"}, "threads"},
+        U32Option{"scan2_threads", {"scan2"}, "threads"},
+        U32Option{"baseline_threads", {"baseline"}, "threads"},
+        U32Option{"significance_permutations", {"significance"},
+                  "permutations"},
+        U32Option{"significance_threads", {"significance"}, "threads"},
+        U32Option{"significance_batch", {"significance"}, "batch"},
+        U32Option{"serve_threads", {"serve"}, "threads"},
+        U32Option{"coordinate_shards", {"coordinate", "--out", "x.csv"},
+                  "shards"},
+        U32Option{"coordinate_max_failures", {"coordinate", "--out", "x.csv"},
+                  "max-failures"},
+        U32Option{"work_threads", {"work", "--socket", "no-such.sock"},
+                  "threads"}),
+    [](const ::testing::TestParamInfo<U32Option>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_P(CliCountBeyond32Bits, ExitsTwoNamingTheOptionBeforeReadingInputs) {
+  // 2^32 once wrapped to 0 through an unsigned cast (for --threads: all
+  // cores; for --permutations: a usage error about 0, not about 2^32).
+  const U32Option& c = GetParam();
+  const std::string option = std::string("--") + c.option;
+  std::vector<std::string> args = c.args;
+  args.insert(args.begin() + 1, "no-such-dir/no-such-dataset.tgb");
+  args.push_back(option);
+  args.push_back("4294967296");
+  const CliRun r = run_cli(args);
+  EXPECT_EQ(r.code, 2) << r.output;
+  EXPECT_NE(r.output.find(option + " expects a value below 2^32"),
+            std::string::npos)
+      << r.output;
+}
+
 // --------------------------------------------------------------------------
 // Malformed scan-vocabulary tokens
 // --------------------------------------------------------------------------
@@ -194,6 +243,9 @@ std::vector<MalformedToken> malformed_tokens() {
       {"scan_range_junk", TRIGEN_CLI_PATH,
        {"scan", "@data", "--range", "0:10junk"},
        "--range expects FIRST:LAST"},
+      {"scan_shards_wraps", TRIGEN_CLI_PATH,
+       {"scan", "@data", "--shards", "4294967296", "--shard", "0"},
+       "--shards expects a value below 2^32"},
       {"scan_objective_unknown", TRIGEN_CLI_PATH,
        {"scan", "@data", "--objective", "foo"},
        "unknown objective 'foo' (k2|mi|chi2)"},

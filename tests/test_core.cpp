@@ -20,6 +20,7 @@
 #include "trigen/core/kernels.hpp"
 #include "trigen/core/tiling.hpp"
 #include "trigen/core/topk.hpp"
+#include "trigen/scoring/mutual_information.hpp"
 
 namespace trigen::core {
 namespace {
@@ -1037,6 +1038,64 @@ TEST(Detector, ObjectivesRankPlantedTripleFirst) {
     ASSERT_FALSE(r.best.empty());
     EXPECT_EQ(r.best[0].triplet, (Triplet{1, 3, 5})) << objective_name(o);
   }
+}
+
+/// The default MI objective scores by table lookups; a scan whose scorer is
+/// the std::log reference formula must rank the same combinations with the
+/// same score bits on V1, V4, V5 and the batched engine.
+template <unsigned K>
+void expect_mi_table_scan_matches_reference_formula(
+    const dataset::GenotypeMatrix& d) {
+  SCOPED_TRACE(K);
+  using trigen::test::same_bits;
+  const auto same = [](const std::vector<ScoredOf<K>>& got,
+                       const std::vector<ScoredOf<K>>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(snps_of<K>(got[i]), snps_of<K>(want[i])) << "rank " << i;
+      EXPECT_TRUE(same_bits(got[i].score, want[i].score)) << "rank " << i;
+    }
+  };
+  const BasicDetector<K> det(d);
+  BasicDetectorOptions<K> table;
+  table.objective = Objective::kMutualInformation;
+  table.top_k = 12;
+  table.threads = 3;
+  BasicDetectorOptions<K> reference = table;
+  reference.scorer = [](const scoring::BasicContingencyTable<K>& t) {
+    return -scoring::mutual_information_cells(t.counts[0], t.counts[1]);
+  };
+  for (const CpuVersion v : {CpuVersion::kV1Naive, CpuVersion::kV4Vector,
+                             CpuVersion::kV5PairCache}) {
+    SCOPED_TRACE(cpu_version_name(v));
+    table.version = reference.version = v;
+    same(det.run(table).best, det.run(reference).best);
+  }
+
+  std::vector<std::vector<dataset::Phenotype>> parts(
+      3, std::vector<dataset::Phenotype>(d.num_samples()));
+  for (std::size_t j = 0; j < d.num_samples(); ++j) {
+    parts[0][j] = d.phenotype(j);
+    parts[1][j] = static_cast<dataset::Phenotype>(1 - d.phenotype(j));
+    parts[2][j] = static_cast<dataset::Phenotype>(j % 3 == 0);
+  }
+  const auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+  const auto got = det.run_batched(batch, table);
+  const auto want = det.run_batched(batch, reference);
+  ASSERT_EQ(got.best.size(), parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    SCOPED_TRACE(p);
+    same(got.best[p], want.best[p]);
+  }
+}
+
+TEST(Detector, MiTableScansMatchTheReferenceFormulaAtEveryOrder) {
+  const auto d = random_dataset({10, 150, 61}, 0.35);
+  expect_mi_table_scan_matches_reference_formula<2>(d);
+  expect_mi_table_scan_matches_reference_formula<3>(d);
+  expect_mi_table_scan_matches_reference_formula<4>(d);
+  expect_mi_table_scan_matches_reference_formula<5>(d);
+  expect_mi_table_scan_matches_reference_formula<6>(d);
 }
 
 TEST(Detector, TopKSortedAndUnique) {

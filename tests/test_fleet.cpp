@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -41,12 +40,7 @@ namespace {
 
 using combinatorics::RankRange;
 
-bool same_bits(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
-}
+using trigen::test::same_bits;
 
 template <typename Fn>
 std::string error_of(Fn&& fn) {

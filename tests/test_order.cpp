@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "test_util.hpp"
@@ -37,12 +36,7 @@ using core::Objective;
 using dataset::GenotypeMatrix;
 using trigen::test::random_dataset;
 
-bool same_bits(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
-}
+using trigen::test::same_bits;
 
 /// All 3^K x 2 tables of a brute-force enumeration, scored with the span
 /// scorers over per-sample reference counts — no engine code involved in

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <random>
 
 #include "test_util.hpp"
@@ -233,12 +232,7 @@ TEST(PairDetector, BadOptionsThrow) {
 // The optimization ladder: V1-V4 (x ISAs, x tilings) are bit-identical
 // --------------------------------------------------------------------------
 
-bool same_bits(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
-}
+using trigen::test::same_bits;
 
 void expect_same_pairs(const std::vector<ScoredPair>& got,
                        const std::vector<ScoredPair>& want) {

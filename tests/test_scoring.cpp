@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "test_util.hpp"
 #include "trigen/common/rng.hpp"
@@ -13,6 +15,7 @@ namespace trigen::scoring {
 namespace {
 
 using trigen::test::random_dataset;
+using trigen::test::same_bits;
 using trigen::test::small_shapes;
 
 ContingencyTable random_table(std::uint64_t seed, std::uint32_t max_count) {
@@ -268,6 +271,127 @@ TEST(ChiSquared, StrongerAssociationScoresHigher) {
   strong.counts[0][1] = 5;  strong.counts[1][1] = 35;
   const ChiSquared chi;
   EXPECT_GT(chi(strong), chi(weak));
+}
+
+// --------------------------------------------------------------------------
+// MutualInformationTable: the reference formula's bits, by lookup
+// --------------------------------------------------------------------------
+
+/// Control and case cells of one table, for the span scorers.
+struct CellTable {
+  std::vector<std::uint32_t> controls, cases;
+  explicit CellTable(std::size_t cells) : controls(cells), cases(cells) {}
+  std::uint32_t& at(std::size_t i) {
+    return i % 2 == 0 ? controls[i / 2] : cases[i / 2];
+  }
+};
+
+/// Calls fn on every table of `cells` x 2 cells holding exactly `left`
+/// samples in its cells from `i` on.
+template <typename Fn>
+void for_each_table_of_total(CellTable& t, std::size_t i, std::uint32_t left,
+                             Fn&& fn) {
+  if (i + 1 == 2 * t.controls.size()) {
+    t.at(i) = left;
+    fn(t);
+    return;
+  }
+  for (std::uint32_t v = 0; v <= left; ++v) {
+    t.at(i) = v;
+    for_each_table_of_total(t, i + 1, left - v, fn);
+  }
+}
+
+/// A table of `n` samples whose cells hold strongly uneven shares: most
+/// cells are empty or tiny and a few hold most of the mass, as in real
+/// scans where one class or genotype dominates.
+CellTable skewed_table(Xoshiro256& rng, std::size_t cells, std::uint32_t n) {
+  CellTable t(cells);
+  std::vector<double> w(2 * cells);
+  const double power = 1.0 + static_cast<double>(rng.bounded(12));
+  double sum = 0.0;
+  for (double& x : w) sum += x = std::pow(rng.uniform(), power);
+  if (sum == 0.0) sum = w[0] = 1.0;
+  std::uint64_t placed = 0;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    t.at(i) = static_cast<std::uint32_t>(n * (w[i] / sum));
+    placed += t.at(i);
+  }
+  for (; placed < n; ++placed) ++t.at(rng.bounded(w.size()));
+  return t;
+}
+
+::testing::AssertionResult table_matches_reference(
+    const MutualInformationTable& mi, const CellTable& t) {
+  const double got = mi(t.controls, t.cases);
+  const double want = mutual_information_cells(t.controls, t.cases);
+  if (same_bits(got, want)) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << t.controls.size() << " cells: table " << std::hexfloat << got
+         << " != reference " << want;
+}
+
+TEST(MutualInformationTable, EveryPairTableMatchesReferenceBitsUpToSixSamples) {
+  for (std::uint32_t n = 1; n <= 6; ++n) {
+    const MutualInformationTable mi(n);
+    CellTable t(kPairCells);
+    std::size_t tables = 0, mismatches = 0;
+    for_each_table_of_total(t, 0, n, [&](const CellTable& table) {
+      ++tables;
+      if (!table_matches_reference(mi, table)) ++mismatches;
+    });
+    EXPECT_EQ(mismatches, 0u) << "N=" << n << " over " << tables << " tables";
+  }
+}
+
+TEST(MutualInformationTable, SkewedRandomTablesMatchReferenceBitsAtEveryOrder) {
+  Xoshiro256 rng(2026);
+  for (const std::uint32_t n : {1u, 2u, 3u, 7u, 100u, 127u, 128u, 1000u, 2047u,
+                                2048u, 4999u, 8192u, 10007u, 65535u}) {
+    const MutualInformationTable mi(n);
+    SCOPED_TRACE(n);
+    for (unsigned k = 2; k <= 6; ++k) {
+      for (int trial = 0; trial < 200; ++trial) {
+        ASSERT_TRUE(table_matches_reference(
+            mi, skewed_table(rng, num_cells(k), n)));
+      }
+    }
+  }
+}
+
+TEST(MutualInformationTable, TablesOfAnotherTotalFallBackToTheReference) {
+  constexpr std::uint32_t kN = 100;
+  const MutualInformationTable mi(kN);
+  Xoshiro256 rng(5);
+  for (const std::uint32_t total : {0u, 1u, kN - 1, kN + 1, 5 * kN}) {
+    for (unsigned k = 2; k <= 4; ++k) {
+      SCOPED_TRACE(total);
+      EXPECT_TRUE(table_matches_reference(
+          mi, skewed_table(rng, num_cells(k), total)));
+    }
+  }
+  // Counts far beyond N, whose 32-bit sum would wrap.
+  CellTable huge(kCells);
+  huge.controls[0] = std::numeric_limits<std::uint32_t>::max();
+  huge.cases[26] = std::numeric_limits<std::uint32_t>::max();
+  huge.cases[3] = 1 + kN;
+  EXPECT_TRUE(table_matches_reference(mi, huge));
+  // A table for N = 0 scores the empty table as 0 and the rest by formula.
+  const MutualInformationTable none(0);
+  EXPECT_TRUE(table_matches_reference(none, CellTable(kCells)));
+  EXPECT_TRUE(table_matches_reference(none, skewed_table(rng, kCells, 50)));
+}
+
+TEST(MutualInformationTable, ScoresContingencyTablesLikeMutualInformation) {
+  const auto d = trigen::test::planted_dataset(8, 777, 3);
+  const MutualInformationTable table(777);
+  const MutualInformation mi;
+  for (const auto& [x, y, z] : {std::array<std::size_t, 3>{1, 3, 5},
+                                std::array<std::size_t, 3>{0, 2, 6},
+                                std::array<std::size_t, 3>{4, 5, 7}}) {
+    const ContingencyTable t = reference_contingency(d, x, y, z);
+    EXPECT_TRUE(same_bits(table(t), mi(t)));
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -253,6 +253,21 @@ TEST(ServeServer, RejectsBadRequestsAndStaysOperational) {
   EXPECT_TRUE(ok.any_starts_with("done j1 "));
 }
 
+TEST(ServeServer, RejectsPermutationsOf2To32) {
+  // 2^32 once wrapped to 0 through an unsigned cast; the rejection must
+  // name the real bound.
+  serve::ScanServer server(test::planted_dataset(8, 64, 2), {});
+  Collector c;
+  EXPECT_TRUE(server.submit_line("significance j1 permutations=4294967296",
+                                 c.sink()));
+  ASSERT_EQ(c.lines().size(), 1u);
+  EXPECT_EQ(c.lines()[0].compare(0, 6, "error "), 0) << c.lines()[0];
+  EXPECT_NE(c.lines()[0].find("permutations expects 1..4294967295"),
+            std::string::npos)
+      << c.lines()[0];
+  EXPECT_EQ(server.jobs_live(), 0u);
+}
+
 TEST(ServeServer, RejectsDuplicateLiveJobId) {
   serve::ServeOptions so;
   so.threads = 1;

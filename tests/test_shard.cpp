@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <random>
@@ -27,12 +26,7 @@ using combinatorics::RankRange;
 using combinatorics::num_triplets;
 using trigen::test::random_dataset;
 
-bool same_bits(double a, double b) {
-  std::uint64_t ua = 0, ub = 0;
-  std::memcpy(&ua, &a, sizeof a);
-  std::memcpy(&ub, &b, sizeof b);
-  return ua == ub;
-}
+using trigen::test::same_bits;
 
 /// Runs `fn`, expecting it to throw; returns the exception message.
 template <typename Fn>

@@ -1,6 +1,7 @@
 #pragma once
 /// Shared helpers for the trigen test suite.
 
+#include <bit>
 #include <cstdint>
 #include <ostream>
 #include <tuple>
@@ -10,6 +11,11 @@
 #include "trigen/dataset/synthetic.hpp"
 
 namespace trigen::test {
+
+/// Bitwise double equality: "bit for bit", not within a tolerance.
+inline bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 /// Dataset shape used in parameterized suites: (snps, samples, seed).
 /// Sample counts straddle the 32-bit word boundary and the 512-bit padding

@@ -113,6 +113,20 @@ std::uint64_t get_uint_or_die(const Args& a, const std::string& key,
   return parse_or_die([&] { return a.get_uint(key, fallback); });
 }
 
+/// --KEY for a 32-bit count (threads, permutations, batch, shards,
+/// failures): a value of 2^32 or more is a usage error naming the flag, not
+/// a silent wrap modulo 2^32.
+std::uint32_t get_u32_or_die(const Args& a, const std::string& key,
+                             std::uint32_t fallback) {
+  const std::uint64_t v = get_uint_or_die(a, key, fallback);
+  if (v > std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr, "--%s expects a value below 2^32, got %llu\n",
+                 key.c_str(), static_cast<unsigned long long>(v));
+    std::exit(2);
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 core::Objective get_objective_or_die(const Args& a) {
   return parse_or_die(
       [&] { return core::parse_objective(a.get("objective", "k2")); });
@@ -390,7 +404,7 @@ int cmd_scan_generic(const Args& a) {
   typename Cli::DetectorOptions opt;
   opt.objective = get_objective_or_die(a);
   opt.top_k = get_uint_or_die(a, "top", 10);
-  opt.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
+  opt.threads = get_u32_or_die(a, "threads", 0);
   opt.version = get_version_or_die(a);
   if (const auto isa = parse_isa_flag(a)) {
     opt.isa = *isa;
@@ -405,7 +419,7 @@ int cmd_scan_generic(const Args& a) {
       std::fprintf(stderr, "--range and --shards are mutually exclusive\n");
       return 2;
     }
-    const std::uint64_t w = get_uint_or_die(a, "shards", 0);
+    const std::uint32_t w = get_u32_or_die(a, "shards", 0);
     const std::uint64_t i =
         a.has("shard") ? get_uint_or_die(a, "shard", 0)
                        : std::numeric_limits<std::uint64_t>::max();
@@ -427,9 +441,8 @@ int cmd_scan_generic(const Args& a) {
       std::fprintf(stderr, "--split expects even|block\n");
       return 2;
     }
-    const auto plan = shard::plan_shards(d.num_snps(),
-                                         static_cast<unsigned>(w), strategy,
-                                         bs, Cli::kOrder);
+    const auto plan =
+        shard::plan_shards(d.num_snps(), w, strategy, bs, Cli::kOrder);
     opt.range = plan[static_cast<std::size_t>(i)];
   } else if (a.has("range")) {
     const auto range = combinatorics::parse_rank_range(a.get("range", ""));
@@ -594,7 +607,7 @@ int cmd_baseline(const Args& a) {
     std::puts("usage: trigen baseline DATASET.tg[b] [--top K] [--threads T]");
     return 2;
   }
-  const auto threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 1));
+  const auto threads = get_u32_or_die(a, "threads", 1);
   const std::size_t top = get_uint_or_die(a, "top", 10);
   const auto d = load(a.positional[0]);
   baseline::Mpi3SnpEngine engine(d);
@@ -653,12 +666,11 @@ int cmd_significance(const Args& a) {
                 combinatorics::kMaxOrder);
     return a.has("help") ? 0 : 2;
   }
-  const auto permutations =
-      static_cast<unsigned>(get_uint_or_die(a, "permutations", 19));
+  const auto permutations = get_u32_or_die(a, "permutations", 19);
   const auto seed = static_cast<std::uint64_t>(a.get_int("seed", 7));
   const auto objective = get_objective_or_die(a);
-  const auto threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
-  const auto batch = static_cast<unsigned>(get_uint_or_die(a, "batch", 0));
+  const auto threads = get_u32_or_die(a, "threads", 0);
+  const auto batch = get_u32_or_die(a, "batch", 0);
   const bool progress = a.has("progress");
   const auto isa = parse_isa_flag(a);
   const std::uint64_t order = get_order_or_die(a);
@@ -695,7 +707,7 @@ int cmd_serve(const Args& a) {
     return a.has("help") ? 0 : 2;
   }
   serve::ServeOptions so;
-  so.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
+  so.threads = get_u32_or_die(a, "threads", 0);
   so.chunk = get_uint_or_die(a, "chunk", 0);
   so.checkpoint_dir = a.get("checkpoint-dir", ".");
   serve::ScanServer server(load(a.positional[0]), so);
@@ -740,7 +752,7 @@ int cmd_coordinate(const Args& a) {
   co.order = static_cast<unsigned>(get_order_or_die(a));
   co.objective = get_objective_or_die(a);
   co.top_k = get_uint_or_die(a, "top", 10);
-  co.shards = static_cast<unsigned>(get_uint_or_die(a, "shards", 16));
+  co.shards = get_u32_or_die(a, "shards", 16);
   if (a.get("split", "even") == "block") {
     co.split = shard::SplitStrategy::kBlockAligned;
     co.block_size = get_uint_or_die(
@@ -758,8 +770,7 @@ int cmd_coordinate(const Args& a) {
   }
   co.lease_ms = get_uint_or_die(a, "lease-ms", 10000);
   co.checkpoint_every = get_uint_or_die(a, "checkpoint-every", 0);
-  co.max_failures =
-      static_cast<std::uint32_t>(get_uint_or_die(a, "max-failures", 5));
+  co.max_failures = get_u32_or_die(a, "max-failures", 5);
   co.backoff_base_ms = get_uint_or_die(a, "backoff-ms", 250);
   co.backoff_cap_ms = get_uint_or_die(a, "backoff-cap-ms", 8000);
   co.log = [](const std::string& line) {
@@ -797,7 +808,7 @@ int cmd_work(const Args& a) {
 #else
   wo.id = a.get("id", "worker");
 #endif
-  wo.threads = static_cast<unsigned>(get_uint_or_die(a, "threads", 0));
+  wo.threads = get_u32_or_die(a, "threads", 0);
   wo.version = get_version_or_die(a);
   wo.isa = parse_isa_flag(a);
   wo.poll_ms = get_uint_or_die(a, "poll-ms", 200);
