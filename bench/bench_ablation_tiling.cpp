@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       opt.tiling = {bs, bp};
       const auto r = det.run(opt);
       t.add_row({std::to_string(bs), std::to_string(bp),
-                 TextTable::fmt(core::tables_bytes(bs) / 1024.0, 1),
+                 TextTable::fmt(core::tuple_tables_bytes(bs, 3) / 1024.0, 1),
                  TextTable::fmt(r.seconds, 3),
                  TextTable::fmt(r.elements_per_second() / 1e9, 2),
                  TextTable::fmt(r.elements_per_second() / derived_eps, 2)});

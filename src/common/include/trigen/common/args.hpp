@@ -56,13 +56,15 @@ struct Args {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  long get_int(const std::string& key, long fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atol(it->second.c_str());
-  }
+  /// Strict real-valued parse (trigen::parse_double): a non-numeric,
+  /// trailing-junk or non-finite value throws std::invalid_argument naming
+  /// the flag — `--effect abc` must fail, not silently become 0.
   double get_double(const std::string& key, double fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    if (it == flags.end()) return fallback;
+    if (const auto v = parse_double(it->second)) return *v;
+    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
+                                it->second + "'");
   }
   /// Strict parse for count-like flags (ranks, shard indices, intervals)
   /// through trigen::parse_uint: the full unsigned range is accepted, but a

@@ -1,11 +1,13 @@
 #pragma once
 /// \file parse.hpp
-/// \brief The one strict unsigned-integer parser behind every count, rank,
-/// shard id and fingerprint the tools read — command-line flags
-/// (Args::get_uint), serve and fleet protocol parameters, rank ranges and
-/// the TRIGEN-* text formats.
+/// \brief The strict number parsers behind every value the tools read.
+/// parse_uint covers every count, rank, seed, shard id and fingerprint —
+/// command-line flags (Args::get_uint), serve and fleet protocol
+/// parameters, rank ranges and the TRIGEN-* text formats; parse_double
+/// covers the command line's real-valued flags.
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -29,6 +31,25 @@ inline std::optional<std::uint64_t> parse_uint(const std::string& s,
   errno = 0;
   const unsigned long long v = std::strtoull(s.c_str(), nullptr, base);
   if (errno == ERANGE) return std::nullopt;
+  return v;
+}
+
+/// Parses all of `s` as a finite decimal number (an optional sign, digits,
+/// a fraction and an exponent, as strtod reads them).  Leading whitespace,
+/// trailing bytes (`0.5x`), hex floats, inf, nan and out-of-range values
+/// make it nullopt.
+inline std::optional<double> parse_double(const std::string& s) {
+  if (s.empty() || !(s[0] == '-' || s[0] == '+' || s[0] == '.' ||
+                     (s[0] >= '0' && s[0] <= '9'))) {
+    return std::nullopt;
+  }
+  if (s.find_first_of("xXnN") != std::string::npos) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || errno == ERANGE || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 

@@ -357,21 +357,20 @@ BasicDetectionResult<K> BasicDetector<K>::run(
     // V3/V4/V5: work unit = one block tuple of the partition covering the
     // range; emitted combinations are clipped to the range at the
     // partition boundary (interior blocks pay no per-combination
-    // overhead).  V5 budgets L1 for the prefix-plane ladder when
-    // autotuning.
+    // overhead).  V5 autotunes with its own ladder model.
     TilingParams tiling = options.tiling;
     if (!tiling.valid()) {
-      tiling = autotune_tiling(detect_l1_config(),
-                               kernel_vector_words(plan.isa), K, cached);
+      tiling = scan_tiling(detect_l1_config(), K, options.version, plan.isa,
+                           impl_->num_snps, plan.range, cfg.threads);
     }
     result.tiling_used = tiling;
     const combinatorics::BlockPartition part =
         combinatorics::partition_block_tuples<K>(
             combinatorics::BlockGrid{impl_->num_snps, tiling.bs}, plan.range);
     // Per-thread scratch is constructed lazily by the worker that owns it,
-    // not here on the submitting thread: the constructor's zero-fill is the
-    // first touch of the table and prefix-plane-cache pages, so on NUMA
-    // hosts they land on the scanning thread's node.
+    // not here on the submitting thread, and its walk zero-fills the table
+    // and prefix-plane-cache pages on first use, so on NUMA hosts they land
+    // on the scanning thread's node.
     std::vector<std::unique_ptr<TupleBlockScratch<K>>> scratch(cfg.threads);
     const auto scan_blocks = [&](auto&& scan_block) {
       return scan_best<Scored>(

@@ -4,10 +4,11 @@
 /// Algorithm 1, V3/V4/V5, order-generalized).
 ///
 /// The engine walks SNP *block* tuples (b_0 <= ... <= b_{k-1}, each covering
-/// B_S SNPs).  For one block tuple it holds the frequency tables of all
-/// <= B_S^k contained SNP combinations in an L1-resident array, and streams
-/// the sample dimension in B_P-word chunks, so every loaded cache line is
-/// reused by up to B_S^{k-1} combinations before eviction.
+/// B_S SNPs) and streams the sample dimension in B_P-word chunks, so every
+/// loaded cache line is reused by up to B_S^{k-1} combinations before
+/// eviction.  The direct walk holds the frequency tables of all <= B_S^k
+/// contained SNP combinations in an L1-resident array; the ladder walk
+/// holds the B_S tables of one prefix.
 ///
 /// Each rung kind is one walk, written once for every order: a clipped
 /// function template whose axis walk (`engine_detail::walk_axes`) recurses
@@ -18,23 +19,26 @@
 ///    combination from its k SNPs' genotype planes.  V3 is this walk with
 ///    the scalar kernels; selecting a vector kernel turns it into V4.
 ///  * `scan_block_tuple_ladder` (V5): the walk builds a recursive
-///    *prefix-plane ladder* on its way down.  All B_S last-axis SNPs of a
-///    block tuple share the same length-(k-1) prefix, so the ladder
-///    materializes, once per (prefix, sample-chunk), the 3^j intersection
-///    planes of each j-SNP prefix (rung j, j = 2..k-1).  Rung 2 is built
-///    directly from two SNPs' genotype planes; rung j+1 extends rung j by
-///    ANDing each plane with one SNP's two stored planes and deriving the
-///    third child from the partition identity (the three genotype planes
-///    of a SNP partition every sample bit, padding included).  The last
-///    rung's planes and popcounts then resolve all three final-axis cells
-///    with two ANDs + two POPCNTs per word.  At k = 2 there is no rung and
-///    the ladder is the direct walk.
+///    *prefix-plane ladder* and runs prefix-outer: for each length-(k-1)
+///    prefix of the block tuple it streams the sample chunks once,
+///    materializing the 3^j intersection planes of each j-SNP prefix (rung
+///    j, j = 2..k-1) per chunk, and resolves all B_S final-axis SNPs from
+///    the last rung before moving on, so only the B_S tables of one prefix
+///    are live.  Rung 2 is built directly from two SNPs' genotype planes;
+///    rung j+1 extends rung j by ANDing each plane with one SNP's two
+///    stored planes and deriving the third child from the partition
+///    identity (the three genotype planes of a SNP partition every sample
+///    bit, padding included).  The last rung's planes and popcounts then
+///    resolve all three final-axis cells with two ANDs + two POPCNTs per
+///    word.  At k = 2 there is no rung and the ladder is the direct walk.
 ///  * `scan_block_tuple_batched` (k >= 3) and `scan_block_pair_batched`
 ///    (k = 2): the ladder walk over phenotype-agnostic planes, scoring
 ///    every partition of a phenotype batch in one pass.
 ///
 /// All walks share one prologue (`engine_detail::block_bounds`: the block
-/// tuple's axis bounds and its rank clip).  The block-tuple rank math and
+/// tuple's axis bounds and its rank clip); the ladder walks share the
+/// prefix loop (`engine_detail::for_each_prefix`) and the ladder build
+/// (`EngineKernels::build_ladder`).  The block-tuple rank math and
 /// the rank-range -> block-tuple mapping live in
 /// trigen/combinatorics/block_partition.hpp; the names are re-exported here
 /// for the engine's callers.
@@ -43,6 +47,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -201,38 +206,69 @@ struct EngineKernels {
     generic.extend(cache.rung(j), pow3(j), cache.stride(), s0, s1, w0, w1,
                    cache.rung(j + 1), cache.stride(), pops);
   }
+
+  /// The whole ladder of the (K-1)-SNP prefix comb[0..K-2] over words
+  /// [w0, w1) of class `c`: rung 2, then one extension per further prefix
+  /// SNP; only the last rung gets popcounts.
+  template <unsigned K>
+  void build_ladder(PrefixPlaneCache& cache,
+                    const dataset::PhenoSplitPlanes& planes, int c,
+                    const combinatorics::Combination<K>& comb, std::size_t w0,
+                    std::size_t w1) const {
+    static_assert(K >= 3, "the ladder needs a length-2 prefix");
+    build_rung2(cache, planes.plane(c, comb[0], 0), planes.plane(c, comb[0], 1),
+                planes.plane(c, comb[1], 0), planes.plane(c, comb[1], 1), w0,
+                w1);
+    for (unsigned r = 2; r + 1 < K; ++r) {
+      extend_rung(cache, r, planes.plane(c, comb[r], 0),
+                  planes.plane(c, comb[r], 1), w0, w1, r + 2 == K);
+    }
+  }
 };
 
-/// Per-thread scratch: frequency tables for all combinations of a block
-/// tuple.  Layout: [local][class][3^K] uint32; local =
-/// sum (i_j - base_j) * B_S^{K-1-j}.
+/// Per-thread scratch of the sequential walks, built for the walks'
+/// `tiling.bs`: frequency tables, layout [local][class][3^K] uint32, sized
+/// by the walk that uses it.  The direct walk holds the tables of every
+/// combination of a block tuple (B_S^K, local = sum (i_j - base_j) *
+/// B_S^{K-1-j}); the ladder walk holds the B_S tables of one prefix (local
+/// = z - first z) plus its prefix-plane ladder.  Storage is allocated on
+/// first use by the scanning thread.
 template <unsigned K>
 class TupleBlockScratch {
  public:
   static constexpr std::size_t kCells = scoring::num_cells(K);
 
-  explicit TupleBlockScratch(std::size_t bs) : ft_(locals(bs) * 2 * kCells) {}
+  explicit TupleBlockScratch(std::size_t bs) : bs_(bs) {}
+
+  /// Grows the table array (never shrinks) to the B_S^axes tables of
+  /// `axes` free axes: K for the direct walk, 1 for the ladder walk.
+  void ensure_tables(unsigned axes) {
+    std::size_t count = 1;
+    for (unsigned i = 0; i < axes; ++i) count *= bs_;
+    if (ft_.size() < count * 2 * kCells) ft_.resize(count * 2 * kCells);
+  }
+  /// Tables the scratch currently holds.
+  std::size_t tables() const { return ft_.size() / (2 * kCells); }
 
   std::uint32_t* table(std::size_t local, int cls) {
     return ft_.data() + (local * 2 + static_cast<std::size_t>(cls)) * kCells;
   }
-  /// Zeroes both class tables of `local`: the engine clears exactly the
-  /// combinations a block tuple evaluates, so tail and diagonal blocks skip
-  /// the untouched bulk of the bs^K array.
+  /// Zeroes both class tables of `local`: the direct walk clears exactly
+  /// the combinations a block tuple evaluates, so tail and diagonal blocks
+  /// skip the untouched bulk of the bs^K array.
   void clear_table(std::size_t local) {
     std::fill_n(ft_.begin() + static_cast<std::ptrdiff_t>(local * 2 * kCells),
                 2 * kCells, 0u);
+  }
+  /// Zeroes the tables of locals [0, count).
+  void clear_tables(std::size_t count) {
+    std::fill_n(ft_.begin(), count * 2 * kCells, 0u);
   }
   /// V5 prefix-plane ladder (unused and unallocated for V3/V4 scans).
   PrefixPlaneCache& prefix_cache() { return cache_; }
 
  private:
-  static std::size_t locals(std::size_t bs) {
-    std::size_t v = 1;
-    for (unsigned i = 0; i < K; ++i) v *= bs;
-    return v;
-  }
-
+  std::size_t bs_;
   std::vector<std::uint32_t> ft_;
   PrefixPlaneCache cache_;
 };
@@ -329,55 +365,56 @@ void walk_axes(const BlockBounds<K>& b, std::size_t prev, std::size_t local,
   }
 }
 
-/// Shared skeleton of the sequential walks: prologue, targeted scratch
-/// clear, the class x sample-chunk loop around `accumulate(bounds, class,
-/// w0, w1)` (which fills the scratch tables of every in-block combination
-/// for that chunk), and table emission.  `on_table(const Combination<K>&,
-/// const BasicContingencyTable<K>&)` receives each emitted combination.
-template <unsigned K, typename Accumulate, typename OnTable>
-void sequential_walk(const dataset::PhenoSplitPlanes& planes,
-                     const TilingParams& tiling,
-                     TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
-                     const combinatorics::RankRange& clip,
-                     Accumulate&& accumulate, OnTable&& on_table) {
-  const auto bounds = block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
-  if (!bounds) return;
-  const BlockBounds<K>& b = *bounds;
-
-  auto clear = [&](auto axis, std::size_t, std::size_t local) {
-    if constexpr (decltype(axis)::value + 1 == K) scratch.clear_table(local);
-  };
-  walk_axes<K>(b, 0, 0, clear);
-
-  // Sample-blocked accumulation: for each class, stream B_P words at a
-  // time through all combinations of the block tuple.
-  for (int c = 0; c < 2; ++c) {
-    const std::size_t words = planes.words(c);
-    for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-      accumulate(b, c, w0, std::min(w0 + tiling.bp_words, words));
-    }
-  }
-
-  // Finalize: fold the NOR padding out of the all-genotype-2 cell and emit
-  // tables.
+/// The prefix loop of the ladder walks: for every length-(K-1) prefix of
+/// block tuple `b` (axes 0..K-2 in Algorithm 1 order) that admits a final
+/// SNP, calls `on_prefix(comb, z_first, z_end)` with comb[0..K-2] set and
+/// the prefix's final-axis SNPs [z_first, z_end).
+template <unsigned K, typename OnPrefix>
+void for_each_prefix(const BlockBounds<K>& b, OnPrefix&& on_prefix) {
+  static_assert(K >= 3, "the ladder needs a length-2 prefix");
   combinatorics::Combination<K> comb{};
-  auto emit = [&](auto axis, std::size_t i, std::size_t local) {
+  auto visit = [&](auto axis, std::size_t i, std::size_t) {
     constexpr unsigned j = decltype(axis)::value;
     comb[j] = static_cast<std::uint32_t>(i);
-    if constexpr (j + 1 == K) {
-      if (!b.emits(comb, clip)) return;
-      scoring::BasicContingencyTable<K> t;
-      for (int c = 0; c < 2; ++c) {
-        const std::uint32_t* ft = scratch.table(local, c);
-        auto& row = t.counts[static_cast<std::size_t>(c)];
-        std::copy_n(ft, row.size(), row.begin());
-        // NOR padding shows up as phantom all-genotype-2 observations.
-        row.back() -= static_cast<std::uint32_t>(planes.pad_bits(c));
-      }
-      on_table(std::as_const(comb), std::as_const(t));
-    }
+    if constexpr (j + 2 == K) on_prefix(comb, b.first(K - 1, i), b.end[K - 1]);
   };
-  walk_axes<K>(b, 0, 0, emit);
+  walk_axes<K - 1>(b, 0, 0, visit);
+}
+
+/// The final-axis SNPs of [z_first, z_end) whose combination with the
+/// prefix in comb[0..K-2] lies in `clip`.  A prefix's rank rises with its
+/// final SNP, so they form one run: a boundary block tuple computes only
+/// that run and skips a prefix with none, instead of resolving the whole
+/// block and filtering what it emits.
+template <unsigned K>
+std::pair<std::size_t, std::size_t> final_axis_in_clip(
+    combinatorics::Combination<K> comb, std::size_t z_first,
+    std::size_t z_end, const combinatorics::RankRange& clip) {
+  const auto rank_at = [&](std::size_t z) {
+    comb[K - 1] = static_cast<std::uint32_t>(z);
+    return combinatorics::rank_combination<K>(comb);
+  };
+  while (z_first < z_end && rank_at(z_first) < clip.first) ++z_first;
+  while (z_end > z_first && rank_at(z_end - 1) >= clip.last) --z_end;
+  return {z_first, z_end};
+}
+
+/// Emits the sequential tables of combination `comb` held at `local` in
+/// `scratch`, folding the NOR padding out of the all-genotype-2 cell.
+template <unsigned K, typename OnTable>
+void emit_sequential(const dataset::PhenoSplitPlanes& planes,
+                     TupleBlockScratch<K>& scratch, std::size_t local,
+                     const combinatorics::Combination<K>& comb,
+                     OnTable& on_table) {
+  scoring::BasicContingencyTable<K> t;
+  for (int c = 0; c < 2; ++c) {
+    const std::uint32_t* ft = scratch.table(local, c);
+    auto& row = t.counts[static_cast<std::size_t>(c)];
+    std::copy_n(ft, row.size(), row.begin());
+    // NOR padding shows up as phantom all-genotype-2 observations.
+    row.back() -= static_cast<std::uint32_t>(planes.pad_bits(c));
+  }
+  on_table(comb, std::as_const(t));
 }
 
 }  // namespace engine_detail
@@ -404,34 +441,63 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
                       TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
                       const combinatorics::RankRange& clip,
                       OnTable&& on_table) {
-  engine_detail::sequential_walk<K>(
-      planes, tiling, scratch, bt, clip,
-      [&](const engine_detail::BlockBounds<K>& b, int c, std::size_t w0,
-          std::size_t w1) {
-        std::array<const Word*, K> g0{};
-        std::array<const Word*, K> g1{};
-        auto visit = [&](auto axis, std::size_t i, std::size_t local) {
-          constexpr unsigned j = decltype(axis)::value;
-          g0[j] = planes.plane(c, i, 0);
-          g1[j] = planes.plane(c, i, 1);
-          if constexpr (j + 1 == K) {
-            kernels.direct<K>(g0, g1, w0, w1, scratch.table(local, c));
-          }
-        };
-        engine_detail::walk_axes<K>(b, 0, 0, visit);
-      },
-      static_cast<OnTable&&>(on_table));
+  const auto bounds =
+      engine_detail::block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
+  if (!bounds) return;
+  const engine_detail::BlockBounds<K>& b = *bounds;
+  scratch.ensure_tables(K);
+
+  auto clear = [&](auto axis, std::size_t, std::size_t local) {
+    if constexpr (decltype(axis)::value + 1 == K) scratch.clear_table(local);
+  };
+  engine_detail::walk_axes<K>(b, 0, 0, clear);
+
+  // Sample-blocked accumulation: for each class, stream B_P words at a
+  // time through all combinations of the block tuple.
+  for (int c = 0; c < 2; ++c) {
+    const std::size_t words = planes.words(c);
+    for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+      const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+      std::array<const Word*, K> g0{};
+      std::array<const Word*, K> g1{};
+      auto visit = [&](auto axis, std::size_t i, std::size_t local) {
+        constexpr unsigned j = decltype(axis)::value;
+        g0[j] = planes.plane(c, i, 0);
+        g1[j] = planes.plane(c, i, 1);
+        if constexpr (j + 1 == K) {
+          kernels.direct<K>(g0, g1, w0, w1, scratch.table(local, c));
+        }
+      };
+      engine_detail::walk_axes<K>(b, 0, 0, visit);
+    }
+  }
+
+  combinatorics::Combination<K> comb{};
+  auto emit = [&](auto axis, std::size_t i, std::size_t local) {
+    constexpr unsigned j = decltype(axis)::value;
+    comb[j] = static_cast<std::uint32_t>(i);
+    if constexpr (j + 1 == K) {
+      if (b.emits(comb, clip)) {
+        engine_detail::emit_sequential<K>(planes, scratch, local, comb,
+                                          on_table);
+      }
+    }
+  };
+  engine_detail::walk_axes<K>(b, 0, 0, emit);
 }
 
-/// V5: the same walk as scan_block_tuple, building the prefix-plane ladder
-/// on its way down.  Rung 2 (the nine planes of the two leading SNPs) is
-/// built once per (prefix, sample-chunk); each deeper rung j+1 extends rung
-/// j by one SNP; the last rung's planes and popcounts resolve all
-/// final-axis cells through the order's final-rung kernel — the prefix
+/// V5: the same combinations and tables as scan_block_tuple, walked
+/// prefix-outer through the prefix-plane ladder.  For each length-(K-1)
+/// prefix of the block tuple it zeroes the B_S tables of the prefix's
+/// final-axis SNPs, streams every class in B_P-word chunks — building the
+/// ladder once per chunk, then one final-rung call per final-axis SNP —
+/// and emits, so the scratch holds B_S tables (not B_S^K) and B_S is free
+/// to grow for final-axis reuse without growing memory.  The prefix
 /// streams leave the innermost loop entirely, and no genotype-2 plane of
-/// any prefix SNP is ever materialized.  At K = 2 there is no rung and
-/// this is scan_block_tuple.  Bit-identical to the direct walk for every
-/// clip.
+/// any prefix SNP is ever materialized.  A block tuple that straddles
+/// `clip` resolves, per prefix, only the final-axis SNPs inside it.  At
+/// K = 2 there is no rung and this is scan_block_tuple.  Bit-identical to
+/// the direct walk for every clip.
 template <unsigned K, typename OnTable>
 void scan_block_tuple_ladder(const dataset::PhenoSplitPlanes& planes,
                              const TilingParams& tiling,
@@ -444,33 +510,45 @@ void scan_block_tuple_ladder(const dataset::PhenoSplitPlanes& planes,
     scan_block_tuple<K>(planes, tiling, kernels, scratch, bt, clip,
                         static_cast<OnTable&&>(on_table));
   } else {
+    const auto bounds =
+        engine_detail::block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
+    if (!bounds) return;
+    const engine_detail::BlockBounds<K>& b = *bounds;
+    // No chunk is wider than a class's planes: narrow panels keep a
+    // narrow ladder.
     PrefixPlaneCache& cache = scratch.prefix_cache();
-    cache.ensure(K, tiling.bp_words);
-    engine_detail::sequential_walk<K>(
-        planes, tiling, scratch, bt, clip,
-        [&](const engine_detail::BlockBounds<K>& b, int c, std::size_t w0,
-            std::size_t w1) {
-          const Word* x0 = nullptr;
-          const Word* x1 = nullptr;
-          auto visit = [&](auto axis, std::size_t i, std::size_t local) {
-            constexpr unsigned j = decltype(axis)::value;
-            const Word* s0 = planes.plane(c, i, 0);
-            const Word* s1 = planes.plane(c, i, 1);
-            if constexpr (j == 0) {
-              x0 = s0;
-              x1 = s1;
-            } else if constexpr (j == 1) {
-              kernels.build_rung2(cache, x0, x1, s0, s1, w0, w1);
-            } else if constexpr (j + 1 < K) {
-              kernels.extend_rung(cache, j, s0, s1, w0, w1, j + 2 == K);
-            } else {
-              kernels.final_rung<K>(cache, s0, s1, w0, w1,
-                                    scratch.table(local, c));
+    cache.ensure(K, std::min(tiling.bp_words,
+                             std::max(planes.words(0), planes.words(1))));
+    scratch.ensure_tables(1);
+
+    engine_detail::for_each_prefix<K>(
+        b, [&](combinatorics::Combination<K>& comb, std::size_t z_first,
+               std::size_t z_end) {
+          if (b.filter) {
+            std::tie(z_first, z_end) =
+                engine_detail::final_axis_in_clip<K>(comb, z_first, z_end,
+                                                     clip);
+            if (z_first == z_end) return;
+          }
+          scratch.clear_tables(z_end - z_first);
+          for (int c = 0; c < 2; ++c) {
+            const std::size_t words = planes.words(c);
+            for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+              const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+              kernels.build_ladder<K>(cache, planes, c, comb, w0, w1);
+              for (std::size_t z = z_first; z < z_end; ++z) {
+                kernels.final_rung<K>(cache, planes.plane(c, z, 0),
+                                      planes.plane(c, z, 1), w0, w1,
+                                      scratch.table(z - z_first, c));
+              }
             }
-          };
-          engine_detail::walk_axes<K>(b, 0, 0, visit);
-        },
-        static_cast<OnTable&&>(on_table));
+          }
+          for (std::size_t z = z_first; z < z_end; ++z) {
+            comb[K - 1] = static_cast<std::uint32_t>(z);
+            engine_detail::emit_sequential<K>(planes, scratch, z - z_first,
+                                              std::as_const(comb), on_table);
+          }
+        });
   }
 }
 
@@ -581,54 +659,41 @@ void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
   const std::size_t words = planes.words(0);
   PrefixPlaneCache& cache = scratch.prefix_cache();
   cache.ensure(K, tiling.bp_words);
-  const auto plane = [&](std::size_t snp, int g) {
-    return planes.plane(0, snp, g);
-  };
 
-  // The walk covers the prefix axes 0..K-2; the final axis runs inside
-  // each prefix, with the chunk loop around it: the ladder and the
-  // per-chunk label popcounts are built once and reused by every
-  // final-axis SNP and every partition.
-  combinatorics::Combination<K> comb{};
-  auto visit = [&](auto axis, std::size_t i, std::size_t) {
-    constexpr unsigned j = decltype(axis)::value;
-    comb[j] = static_cast<std::uint32_t>(i);
-    if constexpr (j + 2 == K) {
-      const std::size_t z_first = b.first(K - 1, i);
-      const std::size_t z_end = b.end[K - 1];
-      scratch.clear_tables(z_end - z_first);
-      for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-        const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-        kernels.build_rung2(cache, plane(comb[0], 0), plane(comb[0], 1),
-                            plane(comb[1], 0), plane(comb[1], 1), w0, w1);
-        for (unsigned r = 2; r + 1 < K; ++r) {
-          kernels.extend_rung(cache, r, plane(comb[r], 0), plane(comb[r], 1),
-                              w0, w1, r + 2 == K);
+  // The final axis runs inside each prefix, with the chunk loop around
+  // it: the ladder and the per-chunk label popcounts are built once and
+  // reused by every final-axis SNP and every partition.
+  engine_detail::for_each_prefix<K>(
+      b, [&](combinatorics::Combination<K>& comb, std::size_t z_first,
+             std::size_t z_end) {
+        scratch.clear_tables(z_end - z_first);
+        for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+          const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+          kernels.build_ladder<K>(cache, planes, 0, comb, w0, w1);
+          const Word* last = cache.rung(K - 1);
+          std::fill(scratch.label_pops(),
+                    scratch.label_pops() + count * lstride, 0u);
+          kernels.batch.label_pops(last, count, cache.stride(), labels,
+                                   num_labels, lstride, w0, w1,
+                                   scratch.label_pops());
+          for (std::size_t z = z_first; z < z_end; ++z) {
+            kernels.batch.finalize(last, count, cache.stride(),
+                                   cache.rung_pops(K - 1),
+                                   scratch.label_pops(), planes.plane(0, z, 0),
+                                   planes.plane(0, z, 1), labels, num_labels,
+                                   lstride, w0, w1,
+                                   scratch.tables(z - z_first), kCells);
+          }
         }
-        const Word* last = cache.rung(K - 1);
-        std::fill(scratch.label_pops(),
-                  scratch.label_pops() + count * lstride, 0u);
-        kernels.batch.label_pops(last, count, cache.stride(), labels,
-                                 num_labels, lstride, w0, w1,
-                                 scratch.label_pops());
         for (std::size_t z = z_first; z < z_end; ++z) {
-          kernels.batch.finalize(last, count, cache.stride(),
-                                 cache.rung_pops(K - 1), scratch.label_pops(),
-                                 plane(z, 0), plane(z, 1), labels, num_labels,
-                                 lstride, w0, w1, scratch.tables(z - z_first),
-                                 kCells);
+          comb[K - 1] = static_cast<std::uint32_t>(z);
+          if (!b.emits(comb, clip)) continue;
+          engine_detail::emit_batched<K>(std::as_const(comb),
+                                         scratch.tables(z - z_first),
+                                         num_labels, planes.pad_bits(0),
+                                         on_table);
         }
-      }
-      for (std::size_t z = z_first; z < z_end; ++z) {
-        comb[K - 1] = static_cast<std::uint32_t>(z);
-        if (!b.emits(comb, clip)) continue;
-        engine_detail::emit_batched<K>(comb, scratch.tables(z - z_first),
-                                       num_labels, planes.pad_bits(0),
-                                       on_table);
-      }
-    }
-  };
-  engine_detail::walk_axes<K - 1>(b, 0, 0, visit);
+      });
 }
 
 /// Batched pair walk (K == 2): the nine x∩y planes of each pair are

@@ -7,7 +7,7 @@
 ///   using namespace trigen;
 ///   dataset::GenotypeMatrix d = dataset::read_text_file("study.tg");
 ///   core::Detector det(d);                     // = BasicDetector<3>
-///   core::DetectorOptions opt;                 // defaults: V4, K2, auto ISA
+///   core::DetectorOptions opt;                 // defaults: V5, K2, auto ISA
 ///   core::DetectionResult r = det.run(opt);
 ///   // r.best.front().triplet is the most likely epistatic triplet.
 /// \endcode
@@ -29,6 +29,7 @@
 
 #include "trigen/combinatorics/scheduler.hpp"
 #include "trigen/core/blocked_engine.hpp"
+#include "trigen/core/cpu_version.hpp"
 #include "trigen/core/kernels.hpp"
 #include "trigen/core/scan_driver.hpp"
 #include "trigen/core/tiling.hpp"
@@ -37,27 +38,6 @@
 #include "trigen/dataset/genotype_matrix.hpp"
 
 namespace trigen::core {
-
-/// Which rung of the paper's CPU optimization ladder to run.
-enum class CpuVersion {
-  kV1Naive,      ///< Fig.-1 layout, phenotype ANDs (memory bound, §IV-A)
-  kV2Split,      ///< phenotype-split planes, genotype-2 inferred via NOR
-  kV3Blocked,    ///< + loop tiling to L1 (Algorithm 1)
-  kV4Vector,     ///< + vector intrinsics (per-ISA POPCNT strategy)
-  kV5PairCache,  ///< + the prefix-plane ladder: the 3^j intersection planes
-                 ///< of every j-SNP prefix (j = 2..k-1) are built once per
-                 ///< (prefix, sample-chunk) and shared by all B_S last-axis
-                 ///< SNPs, cutting the hot loop to two ANDs + two POPCNTs
-                 ///< per cached plane and word (same per-ISA strategies,
-                 ///< bit-identical results).  At k = 2 the counts-only pair
-                 ///< path makes this identical to V4.
-};
-
-std::string cpu_version_name(CpuVersion v);
-
-/// The rung numbered `n` in the scan vocabulary (`--version n`,
-/// `version=n`): 1..5 are V1..V5, anything else is nullopt.
-std::optional<CpuVersion> cpu_version_from_number(std::uint64_t n);
 
 /// Objective function for ranking combinations.
 enum class Objective {
@@ -96,9 +76,8 @@ make_normalized_scorer_of(Objective o, std::uint32_t num_samples);
 /// Scan parameters shared by every interaction order.  Zero-valued fields
 /// mean "auto".
 struct ScanOptionsBase {
-  /// Default stays V4 until the fig3 benchmarks justify flipping; opt into
-  /// the prefix-plane-cached engine with kV5PairCache (CLI: --version 5).
-  CpuVersion version = CpuVersion::kV4Vector;
+  /// The prefix-plane ladder (V5) unless a rung is requested.
+  CpuVersion version = kDefaultCpuVersion;
   /// Vector strategy for V4/V5 (ignored by V1/V3, which are scalar by
   /// definition).  Defaults to the widest the host supports.
   KernelIsa isa = KernelIsa::kScalar;

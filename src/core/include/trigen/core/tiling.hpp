@@ -4,7 +4,8 @@
 ///
 /// The blocked kernels process B_S^3 SNP triplets against B_P sample words
 /// at a time.  The paper sizes both so the frequency-table array and the
-/// data block fit in the L1 data cache:
+/// data block fit in the L1 data cache (the V3/V4 model; V5 has its own,
+/// see ladder_tiling):
 ///
 ///   B_S^3 * beta_int * 2 * 27      <= size_FT      (frequency tables)
 ///   B_S   * B_P * beta_int * 2     <= size_Block   (bit-plane block)
@@ -14,7 +15,12 @@
 /// B_P <= 409.6, i.e. the paper's <5, 400> configuration.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+
+#include "trigen/combinatorics/scheduler.hpp"
+#include "trigen/core/cpu_version.hpp"
+#include "trigen/core/kernels.hpp"
 
 namespace trigen::core {
 
@@ -35,35 +41,76 @@ struct L1Config {
   unsigned ways_for_block = 4;   ///< ways reserved for the streamed block
 };
 
-/// Applies the paper's sizing formulas to `l1`.  `vector_words` rounds
-/// bp_words down to a multiple of the kernel's vector width ("B_P is
+/// The paper's sizing model (V3/V4, the direct walk): B_S solves
+/// B_S^order * 4 * 2 * 3^order <= size_FT (the tables of one block tuple
+/// hold 3^order cells per class) and B_P solves B_S * B_P * 4 * 2 <=
+/// size_Block, rounded down to a multiple of `vector_words` ("B_P is
 /// rounded to the closest multiple of the number of 32-bit integers that
-/// fit in the vector registers").  When `pair_cache` is set (the V5
-/// engine), the streamed-block budget additionally covers the nine cached
-/// x∩y planes, so B_P solves B_S*B_P*4*2 + 9*B_P*4 <= size_Block instead
-/// of the plain two-plane-stream formula.
+/// fit in the vector registers").  V5 has its own model, ladder_tiling.
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             bool pair_cache = false);
-
-/// Order-generic sizing: B_S solves B_S^order * 4 * 2 * 3^order <= size_FT
-/// (the tables of one block tuple hold 3^order cells per class), and the
-/// streamed-block budget covers the prefix-plane ladder when `cached` is
-/// set: rungs 2..order-1 hold sum 3^j planes of B_P words each.  The
-/// 3-argument overload above is exactly `order == 3` with `cached ==
-/// pair_cache`.
-TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             unsigned order, bool cached);
+                             unsigned order = 3);
 
 /// Batch-aware sizing for multi-phenotype scans: the frequency-table budget
 /// covers 1 + `batch_slots` tables per tuple (totals plus one case table per
 /// partition; the batched engines keep per-z tables live, so the per-tuple
 /// term is (1+P)*3^order*4 bytes), and the streamed-block budget adds the
 /// resident label planes — `label_stride` lanes (the PhenotypeBatch stride)
-/// per sample word.  `batch_slots == 0` degrades to the overload above.
+/// per sample word; `cached` adds the prefix-plane ladder (order >= 3).
+/// `batch_slots == 0` degrades to the paper's model above.
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached,
                              std::size_t batch_slots,
                              std::size_t label_stride);
+
+/// The V5 model (order >= 3).  The prefix-outer ladder walk keeps only the
+/// B_S tables of one prefix live, so the table ways no longer bound B_S:
+///
+///   * B_P: the ladder (rungs 2..order-1, prefix_cache_bytes) plus one
+///     final-axis SNP's two planes of a chunk fit the block ways,
+///     (prefix_cache_bytes(1, order) + 2 * 4) * B_P <= size_Block, rounded
+///     down to whole AVX-512 registers (the PrefixPlaneCache stride) and at
+///     least kLadderMinBpWords;
+///   * B_S: final-axis reuse — every extra z amortizes the per-chunk ladder
+///     build — up to kLadderMaxBs[order], the measured knee.
+TilingParams ladder_tiling(const L1Config& l1, std::size_t vector_words,
+                           unsigned order);
+
+/// V5's B_S per order (index = order; orders 0..2 never use it).
+inline constexpr std::size_t kLadderMaxBs[] = {1, 1, 1, 16, 8, 4, 4};
+/// Floor of V5's B_P: below it the per-chunk ladder build and kernel-call
+/// setup dominate.
+inline constexpr std::size_t kLadderMinBpWords = 128;
+
+/// Block tuples every thread should get at least: the per-scan cap on B_S.
+inline constexpr std::uint64_t kMinBlockTuplesPerThread = 4;
+
+/// The tile the blocked engine runs: the one entry point behind
+/// BasicDetector::run's auto-tiling and the heterogeneous coordinator.
+/// V1..V4 get the paper's model (V1/V2 never walk blocks; V3 runs the
+/// scalar kernels, so its B_P is sized for them), V5 gets ladder_tiling with
+/// B_S capped so the block tuples covering `range` — the ranks the scan
+/// covers, empty for all C(num_snps, order) — number at least
+/// kMinBlockTuplesPerThread per thread (`threads`, 0 = the hardware
+/// concurrency).
+TilingParams scan_tiling(const L1Config& l1, unsigned order,
+                         CpuVersion version, KernelIsa isa,
+                         std::size_t num_snps,
+                         const combinatorics::RankRange& range,
+                         unsigned threads);
+
+/// Top-block layers every shard of a block-aligned plan should span.
+inline constexpr std::size_t kMinLayersPerShard = 4;
+
+/// The block size a block-aligned shard plan of `shards` shards cuts at
+/// (shard::plan_shards' `block_size`): the B_S a V4/V5 scan of `order`
+/// starts from on this L1 (ladder_tiling at order >= 3, the paper's model
+/// at order 2), lowered so the `num_snps` SNPs form at least
+/// kMinLayersPerShard layers per shard.  It reads neither the thread count,
+/// the rung nor the ISA, so the shards of one plan, each planned by its own
+/// process, cut at the same ranks; the engine clips its own tile to the
+/// shard's range either way.
+std::size_t block_split_bs(const L1Config& l1, unsigned order,
+                           std::size_t num_snps, unsigned shards);
 
 /// Reads the host's L1D geometry from sysfs; falls back to 32 kB / 8-way
 /// when unavailable.  Way split follows the paper: 7 ways for tables, the
@@ -103,22 +150,6 @@ constexpr std::size_t prefix_cache_bytes(std::size_t bp_words, unsigned order) {
   std::size_t planes = 0;
   for (unsigned j = 2; j < order; ++j) planes += pow3(j);
   return planes * bp_words * 4;
-}
-
-/// Bytes the frequency tables of one block-triple occupy.
-constexpr std::size_t tables_bytes(std::size_t bs) {
-  return bs * bs * bs * 4 * 2 * 27;
-}
-
-/// Bytes one B_S x B_P bit-plane block occupies.
-constexpr std::size_t block_bytes(std::size_t bs, std::size_t bp_words) {
-  return bs * bp_words * 4 * 2;
-}
-
-/// Bytes the V5 pair-plane cache occupies for a B_P-word chunk (nine x∩y
-/// intersection planes of 32-bit words).
-constexpr std::size_t pair_cache_bytes(std::size_t bp_words) {
-  return 9 * bp_words * 4;
 }
 
 }  // namespace trigen::core

@@ -3,23 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
+#include "trigen/combinatorics/combinations.hpp"
 #include "trigen/dataset/bitplanes.hpp"
 
 namespace trigen::core {
 
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             bool pair_cache) {
-  return autotune_tiling(l1, vector_words, 3, pair_cache);
-}
-
-TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             unsigned order, bool cached) {
+                             unsigned order) {
   const double way_bytes =
       static_cast<double>(l1.size_bytes) / std::max(1u, l1.ways);
   const double size_ft = way_bytes * l1.ways_for_tables;
@@ -40,32 +38,91 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
   }
 
   // B_S * B_P * 4 * 2 <= size_Block, B_P a multiple of the vector width.
-  // The cached engine keeps the prefix-plane ladder (rungs 2..order-1) hot
-  // alongside the streamed block, so its chunk adds prefix_cache_bytes to
-  // the budget.  PrefixPlaneCache rounds its per-plane stride up to a
-  // whole number of AVX-512 registers, so B_P itself is rounded to that
-  // granularity — stride == B_P and the budgeted footprint is the
-  // allocated one.
-  const bool has_cache_planes = cached && order >= 3;
-  const double bytes_per_bp =
-      4.0 * 2 * static_cast<double>(bs) +
-      (has_cache_planes ? static_cast<double>(prefix_cache_bytes(1, order))
-                        : 0.0);
-  std::size_t bp = static_cast<std::size_t>(size_block / bytes_per_bp);
-  const std::size_t granule =
-      has_cache_planes ? std::max(vector_words, dataset::kWordsPerVector)
-                       : vector_words;
-  if (granule > 1) bp = bp / granule * granule;
-  bp = std::max<std::size_t>(std::max<std::size_t>(1, granule), bp);
+  std::size_t bp = static_cast<std::size_t>(size_block / (4.0 * 2 * bs));
+  if (vector_words > 1) bp = bp / vector_words * vector_words;
+  bp = std::max<std::size_t>(std::max<std::size_t>(1, vector_words), bp);
 
   return TilingParams{bs, bp};
+}
+
+TilingParams ladder_tiling(const L1Config& l1, std::size_t vector_words,
+                           unsigned order) {
+  const double way_bytes =
+      static_cast<double>(l1.size_bytes) / std::max(1u, l1.ways);
+  const double size_block = way_bytes * l1.ways_for_block;
+  // PrefixPlaneCache rounds its per-plane stride up to whole AVX-512
+  // registers, so B_P is rounded to that granule: the budgeted footprint
+  // is the allocated one.
+  const std::size_t granule = std::max(vector_words, dataset::kWordsPerVector);
+  const double bytes_per_bp =
+      static_cast<double>(prefix_cache_bytes(1, order)) + 4.0 * 2;
+  std::size_t bp = static_cast<std::size_t>(size_block / bytes_per_bp);
+  bp = std::max(bp / granule, (kLadderMinBpWords + granule - 1) / granule) *
+       granule;
+  return TilingParams{kLadderMaxBs[std::min<std::size_t>(
+                          order, std::size(kLadderMaxBs) - 1)],
+                      bp};
+}
+
+TilingParams scan_tiling(const L1Config& l1, unsigned order,
+                         CpuVersion version, KernelIsa isa,
+                         std::size_t num_snps,
+                         const combinatorics::RankRange& range,
+                         unsigned threads) {
+  const KernelIsa walked =
+      version == CpuVersion::kV4Vector || version == CpuVersion::kV5PairCache
+          ? isa
+          : KernelIsa::kScalar;
+  const std::size_t vector_words = kernel_vector_words(walked);
+  if (version != CpuVersion::kV5PairCache || order < 3) {
+    return autotune_tiling(l1, vector_words, order);
+  }
+  TilingParams t = ladder_tiling(l1, vector_words, order);
+  if (num_snps < order) return t;
+  // Top SNP of the first and last rank: the range covers the top-block
+  // layers between them.
+  const std::uint64_t top_first = combinatorics::detail::max_n_with_binom_le(
+      range.empty() ? 0 : range.first, order);
+  const std::uint64_t top_last =
+      range.empty()
+          ? num_snps - 1
+          : combinatorics::detail::max_n_with_binom_le(range.last - 1, order);
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::uint64_t want = kMinBlockTuplesPerThread * threads;
+  // Layer L holds the C(L + order - 1, order - 1) > L block tuples whose
+  // top block is L (the run partition_block_tuples hands the engine):
+  // `want` layers, or one layer at L >= want, always qualify, which keeps
+  // the binomials small.
+  const auto enough = [&](std::uint64_t bs) {
+    const std::uint64_t lo = top_first / bs;
+    const std::uint64_t hi = top_last / bs + 1;
+    if (hi - lo >= want) return true;
+    std::uint64_t tuples = 0;
+    for (std::uint64_t layer = lo; layer < hi; ++layer) {
+      if (layer >= want) return true;
+      tuples += combinatorics::n_choose_k(layer + order - 1, order - 1);
+      if (tuples >= want) return true;
+    }
+    return false;
+  };
+  while (t.bs > 1 && !enough(t.bs)) --t.bs;
+  return t;
+}
+
+std::size_t block_split_bs(const L1Config& l1, unsigned order,
+                           std::size_t num_snps, unsigned shards) {
+  const std::size_t bs = order >= 3 ? ladder_tiling(l1, 1, order).bs
+                                    : autotune_tiling(l1, 1, order).bs;
+  const std::size_t fit =
+      num_snps / (kMinLayersPerShard * std::max(1u, shards));
+  return std::clamp<std::size_t>(fit, 1, bs);
 }
 
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order, bool cached,
                              std::size_t batch_slots,
                              std::size_t label_stride) {
-  if (batch_slots == 0) return autotune_tiling(l1, vector_words, order, cached);
+  if (batch_slots == 0) return autotune_tiling(l1, vector_words, order);
 
   const double way_bytes =
       static_cast<double>(l1.size_bytes) / std::max(1u, l1.ways);
@@ -86,7 +143,7 @@ TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
     bs = static_cast<std::size_t>(kBatchTableBudget / per_z);
     bs = std::min<std::size_t>(std::max<std::size_t>(4, bs), 64);
   } else {
-    bs = autotune_tiling(l1, vector_words, order, cached).bs;
+    bs = autotune_tiling(l1, vector_words, order).bs;
   }
 
   // Streamed-block budget per word: one completion's two genotype planes

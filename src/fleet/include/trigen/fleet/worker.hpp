@@ -43,7 +43,7 @@ struct WorkerOptions {
   /// to w<pid>.
   std::string id = "worker";
   unsigned threads = 0;  ///< 0 = hardware concurrency
-  core::CpuVersion version = core::CpuVersion::kV4Vector;
+  core::CpuVersion version = core::kDefaultCpuVersion;
   std::optional<core::KernelIsa> isa;  ///< pin a kernel ISA (else auto)
   std::uint64_t poll_ms = 200;         ///< wait/retry granularity
   /// Budget for re-reaching a lost coordinator before giving up (exit 0).

@@ -54,9 +54,10 @@ HeteroResult HeteroCoordinator::run(const HeteroOptions& options) const {
   cpu_base.isa_auto = false;
   cpu_base.objective = options.objective;
   cpu_base.threads = options.cpu_threads;
-  cpu_base.tiling = core::autotune_tiling(
-      core::detect_l1_config(), core::kernel_vector_words(cpu_base.isa),
-      cpu_base.version == core::CpuVersion::kV5PairCache);
+  cpu_base.tiling = core::scan_tiling(core::detect_l1_config(), 3,
+                                      cpu_base.version, cpu_base.isa,
+                                      impl_->num_snps, {},
+                                      cpu_base.threads);
 
   HeteroResult result;
   result.cpu_version = cpu_base.version;

@@ -416,7 +416,8 @@ struct ScanServer::Impl {
           static_cast<std::size_t>(param_uint(req.params, "top", 10));
       if (dopt.top_k == 0) reject("top expects >= 1");
       const auto version = core::cpu_version_from_number(
-          param_uint(req.params, "version", 4));
+          param_uint(req.params, "version",
+                     core::cpu_version_number(core::kDefaultCpuVersion)));
       if (!version) reject("version expects 1..5");
       dopt.version = *version;
       dopt.threads = 1;  // parallelism comes from the shared pool

@@ -371,8 +371,8 @@ TEST(BatchedPermutation, ShuffleHelpersShareOneStream) {
 
 TEST(BatchTiling, BudgetsTablesAndLabelPlanes) {
   const core::L1Config l1{48 * 1024, 12, 7, 4};
-  // Zero slots degrades to the plain order-generic overload.
-  const auto plain = core::autotune_tiling(l1, 16, 3, true);
+  // Zero slots degrades to the paper's order-generic model.
+  const auto plain = core::autotune_tiling(l1, 16, 3);
   const auto zero = core::autotune_tiling(l1, 16, 3, true, 0, 0);
   EXPECT_EQ(zero.bs, plain.bs);
   EXPECT_EQ(zero.bp_words, plain.bp_words);

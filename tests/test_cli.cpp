@@ -257,6 +257,48 @@ std::vector<MalformedToken> malformed_tokens() {
        {"coordinate", "no-such-dataset.tgb", "--out", "x.csv", "--order",
         "4294967299"},
        "unsupported order 4294967299"},
+      // Shard flags are checked before the dataset is read: these name a
+      // dataset that does not exist and must still fail on the flag.
+      {"scan_split_unknown_before_load", TRIGEN_CLI_PATH,
+       {"scan", "no-such-dataset.tgb", "--shards", "4", "--shard", "0",
+        "--split", "blocks"},
+       "--split expects even|block"},
+      {"scan_shard_out_of_plan_before_load", TRIGEN_CLI_PATH,
+       {"scan", "no-such-dataset.tgb", "--shards", "4", "--shard", "4"},
+       "--shards W --shard I needs W >= 1 and 0 <= I < W"},
+      {"coordinate_split_unknown", TRIGEN_CLI_PATH,
+       {"coordinate", "no-such-dataset.tgb", "--out", "x.csv", "--split",
+        "blocks"},
+       "--split expects even|block"},
+      // `--seed junk` once generated the `--seed 0` panel, and `--effect
+      // abc` an all-control one.  The output directory does not exist, so
+      // a parse that let them through would fail with exit 1, not 2.
+      {"generate_seed_junk", TRIGEN_CLI_PATH,
+       {"generate", "no-such-dir/x.tg", "--snps", "5", "--samples", "10",
+        "--seed", "junk"},
+       "--seed expects a non-negative integer"},
+      {"generate_seed_negative", TRIGEN_CLI_PATH,
+       {"generate", "no-such-dir/x.tg", "--seed", "-5"},
+       "--seed expects a non-negative integer"},
+      {"generate_effect_junk", TRIGEN_CLI_PATH,
+       {"generate", "no-such-dir/x.tg", "--plant", "0,1,2", "--model", "xor3",
+        "--effect", "abc"},
+       "--effect expects a finite number, got 'abc'"},
+      {"generate_baseline_trailing_junk", TRIGEN_CLI_PATH,
+       {"generate", "no-such-dir/x.tg", "--baseline", "0.05x"},
+       "--baseline expects a finite number, got '0.05x'"},
+      {"generate_prevalence_nan", TRIGEN_CLI_PATH,
+       {"generate", "no-such-dir/x.tg", "--prevalence", "nan"},
+       "--prevalence expects a finite number"},
+      {"generate_maf_min_inf", TRIGEN_CLI_PATH,
+       {"generate", "no-such-dir/x.tg", "--maf-min", "-inf"},
+       "--maf-min expects a finite number"},
+      {"generate_maf_max_empty", TRIGEN_CLI_PATH,
+       {"generate", "no-such-dir/x.tg", "--maf-max", " 0.5"},
+       "--maf-max expects a finite number"},
+      {"significance_seed_junk", TRIGEN_CLI_PATH,
+       {"significance", "@data", "--seed", "7x"},
+       "--seed expects a non-negative integer"},
   };
 #ifdef TRIGEN_GWAS_SCAN_PATH
   v.push_back({"gwas_scan_objective_unknown", TRIGEN_GWAS_SCAN_PATH,
@@ -301,6 +343,55 @@ TEST_P(CliMalformedToken, ExitsTwoNamingTheValue) {
   const CliRun r = run_binary(m.binary, args);
   EXPECT_EQ(r.code, 2) << r.output;
   EXPECT_NE(r.output.find(m.message), std::string::npos) << r.output;
+}
+
+// --------------------------------------------------------------------------
+// Block-split shard plans
+// --------------------------------------------------------------------------
+
+TEST(CliBlockSplit, ShardsPlannedWithDifferentFlagsMerge) {
+  // Each shard of a --split block plan is planned by its own process: the
+  // cut ranks may not depend on --threads or --version, or `merge` finds a
+  // coverage gap or overlap.
+  const std::string dir = ::testing::TempDir() + "/trigen_cli_block_split_" +
+                          std::to_string(::getpid());
+  const std::string data = dir + ".tg";
+  ASSERT_EQ(run_cli({"generate", data, "--snps", "60", "--samples", "64",
+                     "--seed", "5"})
+                .code,
+            0);
+  const std::vector<std::vector<std::string>> shard_flags = {
+      {"--threads", "1"},
+      {"--threads", "3"},
+      {"--threads", "2", "--version", "4"}};
+  std::vector<std::string> merge_args = {"merge"};
+  for (std::size_t i = 0; i < shard_flags.size(); ++i) {
+    const std::string out = dir + "_" + std::to_string(i) + ".shard";
+    std::vector<std::string> args = {
+        "scan", data, "--shards", std::to_string(shard_flags.size()),
+        "--shard", std::to_string(i), "--split", "block", "--out", out};
+    args.insert(args.end(), shard_flags[i].begin(), shard_flags[i].end());
+    const CliRun r = run_cli(args);
+    ASSERT_EQ(r.code, 0) << r.output;
+    merge_args.push_back(out);
+  }
+  const CliRun merged = run_cli(merge_args);
+  EXPECT_EQ(merged.code, 0) << merged.output;
+  const CliRun full = run_cli({"scan", data});
+  ASSERT_EQ(full.code, 0) << full.output;
+  const auto rows = [](const std::string& text) {
+    std::istringstream in(text);
+    std::string line, out;
+    while (std::getline(in, line)) {
+      if (!line.empty() && line[0] != '#') out += line + "\n";
+    }
+    return out;
+  };
+  EXPECT_EQ(rows(merged.output), rows(full.output));
+  for (std::size_t i = 1; i < merge_args.size(); ++i) {
+    std::remove(merge_args[i].c_str());
+  }
+  std::remove(data.c_str());
 }
 
 // --------------------------------------------------------------------------

@@ -290,7 +290,7 @@ TEST(Args, KeyValuePairsAndPositionals) {
   ASSERT_EQ(a.positional.size(), 2u);
   EXPECT_EQ(a.positional[0], "data.tg");
   EXPECT_EQ(a.positional[1], "out.tg");
-  EXPECT_EQ(a.get_int("top", 0), 5);
+  EXPECT_EQ(a.get_uint("top", 0), 5u);
   EXPECT_EQ(a.get("objective", ""), "mi");
   EXPECT_FALSE(a.has("missing"));
   EXPECT_EQ(a.get("missing", "fb"), "fb");
@@ -301,7 +301,7 @@ TEST(Args, NegativeNumbersAreValuesNotSwitches) {
   // The old heuristic (next token must not start with '-') parsed
   // `--seed -5` as a bare switch and reshuffled the remaining arguments.
   const Args a = parse_args({"--seed", "-5", "--effect", "-0.25", "in.tg"});
-  EXPECT_EQ(a.get_int("seed", 0), -5);
+  EXPECT_EQ(a.get("seed", ""), "-5");
   EXPECT_DOUBLE_EQ(a.get_double("effect", 0.0), -0.25);
   ASSERT_EQ(a.positional.size(), 1u);
   EXPECT_EQ(a.positional[0], "in.tg");
@@ -324,7 +324,7 @@ TEST(Args, DeclaredSwitchesNeverConsumeAValue) {
 TEST(Args, FlagFollowedByFlagTakesNoValue) {
   const Args a = parse_args({"--verbose", "--top", "3"});
   EXPECT_EQ(a.get("verbose", ""), "1");
-  EXPECT_EQ(a.get_int("top", 0), 3);
+  EXPECT_EQ(a.get_uint("top", 0), 3u);
 }
 
 TEST(Args, TrailingFlagBecomesASwitch) {
@@ -335,7 +335,7 @@ TEST(Args, TrailingFlagBecomesASwitch) {
 
 TEST(Args, LaterOccurrenceWins) {
   const Args a = parse_args({"--top", "3", "--top", "9"});
-  EXPECT_EQ(a.get_int("top", 0), 9);
+  EXPECT_EQ(a.get_uint("top", 0), 9u);
 }
 
 TEST(Args, GetUintParsesValuesAndFallback) {
@@ -349,7 +349,7 @@ TEST(Args, GetUintParsesValuesAndFallback) {
 }
 
 TEST(Args, GetUintRejectsNegative) {
-  // The historical bug: static_cast<uint64_t>(get_int(...)) turned
+  // The historical bug: static_cast<uint64_t>(std::atol(...)) turned
   // `--stop-after -1` into ~2^64 ranks, i.e. "never stop".  get_uint must
   // reject the sign instead of wrapping.
   const Args a = parse_args({"--stop-after", "-1"});
@@ -362,6 +362,25 @@ TEST(Args, GetUintRejectsGarbageAndOverflow) {
   EXPECT_THROW(a.get_uint("shards", 0), std::invalid_argument);
   EXPECT_THROW(a.get_uint("shard", 0), std::invalid_argument);
   EXPECT_THROW(a.get_uint("checkpoint-every", 0), std::invalid_argument);
+}
+
+TEST(Args, GetDoubleAcceptsDecimalForms) {
+  const Args a = parse_args({"--a", "0.25", "--b", "-1e-3", "--c", "+2",
+                             "--d", ".5", "--e", "3."});
+  EXPECT_EQ(a.get_double("a", 0), 0.25);
+  EXPECT_EQ(a.get_double("b", 0), -1e-3);
+  EXPECT_EQ(a.get_double("c", 0), 2.0);
+  EXPECT_EQ(a.get_double("d", 0), 0.5);
+  EXPECT_EQ(a.get_double("e", 0), 3.0);
+}
+
+TEST(Args, GetDoubleRejectsJunkAndNonFinite) {
+  // atof read all of these as a number (mostly 0) without complaint.
+  for (const char* bad : {"abc", "0.5x", "", " 1", "1 ", "nan", "-inf",
+                          "inf", "0x1p3", "1e999"}) {
+    const Args a = parse_args({"--effect", bad});
+    EXPECT_THROW(a.get_double("effect", 0), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Args, UnknownFlagsListsKeysOutsideTheKnownSet) {

@@ -636,6 +636,34 @@ TEST_P(BlockedEngineTest, OutOfRangeBlockTupleIsEmpty) {
   });
 }
 
+TEST(BlockedEngine, LadderScratchHoldsOnePrefixOfTables) {
+  // The prefix-outer ladder walk keeps only the B_S tables of one prefix
+  // live; the direct walk keeps all B_S^K of a block tuple.
+  const auto d = random_dataset({13, 70, 5});
+  for (const unsigned order : {3u, 4u}) {
+    with_order(order, [&]<unsigned K>() {
+      for (const std::size_t bs : {std::size_t{2}, std::size_t{5}}) {
+        SCOPED_TRACE(::testing::Message() << "order " << K << " bs " << bs);
+        const TilingParams tiling{bs, 16};
+        const auto planes = dataset::PhenoSplitPlanes::build(d);
+        TupleBlockScratch<K> ladder(bs);
+        TupleBlockScratch<K> direct(bs);
+        const std::uint64_t nb = (d.num_snps() + bs - 1) / bs;
+        for (std::uint64_t r = 0; r < num_block_tuples<K>(nb); ++r) {
+          scan_checked<K>(d, planes, Walk::kLadder, tiling, ladder,
+                          unrank_block_tuple<K>(r), kFullRange);
+          scan_checked<K>(d, planes, Walk::kDirect, tiling, direct,
+                          unrank_block_tuple<K>(r), kFullRange);
+        }
+        std::size_t all = 1;
+        for (unsigned j = 0; j < K; ++j) all *= bs;
+        EXPECT_EQ(ladder.tables(), bs);
+        EXPECT_EQ(direct.tables(), all);
+      }
+    });
+  }
+}
+
 // --------------------------------------------------------------------------
 // Alignment guarantees
 // --------------------------------------------------------------------------
@@ -717,8 +745,9 @@ TEST(Tiling, FrequencyTablesFitBudget) {
   for (unsigned ways_ft : {4u, 7u}) {
     L1Config l1{32 * 1024, 8, ways_ft, 1};
     const TilingParams p = autotune_tiling(l1, 8);
-    EXPECT_LE(tables_bytes(p.bs), l1.size_bytes / l1.ways * ways_ft);
-    EXPECT_GT(tables_bytes(p.bs + 1), l1.size_bytes / l1.ways * ways_ft);
+    EXPECT_LE(tuple_tables_bytes(p.bs, 3), l1.size_bytes / l1.ways * ways_ft);
+    EXPECT_GT(tuple_tables_bytes(p.bs + 1, 3),
+              l1.size_bytes / l1.ways * ways_ft);
   }
 }
 
@@ -731,29 +760,159 @@ TEST(Tiling, BpMultipleOfVectorWords) {
   }
 }
 
-TEST(Tiling, PairCacheFootprintStaysInsideTheL1Budget) {
-  // The V5 autotuner must budget the streamed block AND the 9-plane cache
-  // inside the block ways, for every cache geometry and vector width.
-  for (const L1Config l1 :
-       {L1Config{48 * 1024, 12, 7, 4}, L1Config{32 * 1024, 8, 7, 1},
-        L1Config{64 * 1024, 16, 7, 8}, L1Config{24 * 1024, 6, 4, 2}}) {
-    const std::size_t ft_budget = l1.size_bytes / l1.ways * l1.ways_for_tables;
+/// The L1 geometries the tiling tests sweep: Ice Lake SP, an 8-way AVX
+/// part, a wide 16-way cache and a small 6-way one.
+const L1Config kTestL1s[] = {
+    L1Config{48 * 1024, 12, 7, 4}, L1Config{32 * 1024, 8, 7, 1},
+    L1Config{64 * 1024, 16, 7, 8}, L1Config{24 * 1024, 6, 4, 2}};
+
+TEST(Tiling, LadderChunkFitsTheBlockWays) {
+  // V5 streams one prefix at a time: the ladder (rungs 2..order-1) plus the
+  // two planes of the final-axis SNP being resolved must fit the block
+  // ways for every chunk, unless B_P sits on its floor.
+  for (const L1Config& l1 : kTestL1s) {
     const std::size_t block_budget =
         l1.size_bytes / l1.ways * l1.ways_for_block;
     for (const std::size_t vec : {std::size_t{1}, std::size_t{8},
                                   std::size_t{16}}) {
-      const TilingParams p = autotune_tiling(l1, vec, true);
-      EXPECT_LE(tables_bytes(p.bs), ft_budget) << vec;
-      EXPECT_LE(block_bytes(p.bs, p.bp_words) + pair_cache_bytes(p.bp_words),
-                block_budget)
-          << "L1 " << l1.size_bytes << " vec " << vec;
-      EXPECT_EQ(p.bp_words % vec, 0u);
-      // B_P lands on the PrefixPlaneCache stride granule, so the budgeted
-      // footprint equals the allocated one (ensure() rounds the stride up
-      // to whole AVX-512 registers).
-      EXPECT_EQ(p.bp_words % dataset::kWordsPerVector, 0u);
-      // The cache-aware B_P can only shrink relative to the V4 sizing.
-      EXPECT_LE(p.bp_words, autotune_tiling(l1, vec, false).bp_words);
+      for (unsigned order = 3; order <= 6; ++order) {
+        SCOPED_TRACE(::testing::Message() << "L1 " << l1.size_bytes << " vec "
+                                          << vec << " order " << order);
+        const TilingParams p = ladder_tiling(l1, vec, order);
+        EXPECT_TRUE(p.valid());
+        const std::size_t chunk =
+            prefix_cache_bytes(p.bp_words, order) + 2 * 4 * p.bp_words;
+        EXPECT_TRUE(chunk <= block_budget || p.bp_words == kLadderMinBpWords)
+            << chunk << " > " << block_budget;
+        EXPECT_GE(p.bp_words, kLadderMinBpWords);
+        EXPECT_EQ(p.bp_words % vec, 0u);
+        // B_P lands on the PrefixPlaneCache stride granule, so the budgeted
+        // footprint equals the allocated one.
+        EXPECT_EQ(p.bp_words % dataset::kWordsPerVector, 0u);
+        EXPECT_EQ(p.bs, kLadderMaxBs[order]);
+      }
+    }
+  }
+}
+
+/// Block tuples partition_block_tuples maps `range` of an order-`order`
+/// scan of `snps` SNPs onto, in blocks of `bs`.
+std::uint64_t block_tuples_covering(unsigned order, std::size_t snps,
+                                    std::size_t bs,
+                                    combinatorics::RankRange range) {
+  const auto run = [&]<unsigned K>() {
+    return combinatorics::partition_block_tuples<K>(
+               combinatorics::BlockGrid{snps, bs}, range)
+        .block_ranks.size();
+  };
+  switch (order) {
+    case 3: return run.template operator()<3>();
+    case 4: return run.template operator()<4>();
+    case 5: return run.template operator()<5>();
+    case 6: return run.template operator()<6>();
+    default: ADD_FAILURE() << "order " << order; return 0;
+  }
+}
+
+TEST(Tiling, LadderBsKeepsBlockTuplesForEveryThread) {
+  // B_S is capped so the block tuples the scanned range maps onto keep
+  // kMinBlockTuplesPerThread per thread, and only as far as needed: one
+  // more SNP per block breaks the cap (or exceeds the model's B_S).  A
+  // sub-range is capped by its own block tuples, not the panel's.
+  const L1Config l1{48 * 1024, 12, 7, 4};
+  for (unsigned order = 3; order <= 6; ++order) {
+    for (const std::size_t snps : {std::size_t{6}, std::size_t{12},
+                                   std::size_t{40}, std::size_t{400}}) {
+      const std::uint64_t total = combinatorics::n_choose_k(snps, order);
+      for (const combinatorics::RankRange range :
+           {combinatorics::RankRange{},
+            combinatorics::RankRange{0, total / 7 + 1},
+            combinatorics::RankRange{total / 2, total / 2 + 1},
+            combinatorics::RankRange{total - total / 64 - 1, total}}) {
+        for (const unsigned threads : {1u, 3u, 4u, 64u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "order " << order << " snps " << snps << " range ["
+                       << range.first << ", " << range.last << ") threads "
+                       << threads);
+          const auto tuples = [&](std::size_t bs) {
+            return block_tuples_covering(
+                order, snps, bs,
+                range.empty() ? combinatorics::RankRange{0, total} : range);
+          };
+          const std::uint64_t want = kMinBlockTuplesPerThread * threads;
+          const TilingParams p =
+              scan_tiling(l1, order, CpuVersion::kV5PairCache,
+                          KernelIsa::kScalar, snps, range, threads);
+          EXPECT_LE(p.bs, kLadderMaxBs[order]);
+          EXPECT_GE(p.bs, 1u);
+          EXPECT_TRUE(p.bs == 1 || tuples(p.bs) >= want) << p.bs;
+          if (p.bs < kLadderMaxBs[order]) {
+            EXPECT_LT(tuples(p.bs + 1), want) << p.bs;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Tiling, BlockSplitKeepsLayersForEveryShard) {
+  // A block-aligned plan cuts at layers of the unthrottled V4/V5 B_S,
+  // lowered only as far as kMinLayersPerShard layers per shard need.
+  for (const L1Config& l1 : kTestL1s) {
+    for (unsigned order = 2; order <= 6; ++order) {
+      const std::size_t model = order >= 3 ? ladder_tiling(l1, 1, order).bs
+                                           : autotune_tiling(l1, 1, order).bs;
+      for (const std::size_t snps : {std::size_t{7}, std::size_t{60},
+                                     std::size_t{100000}}) {
+        for (const unsigned shards : {1u, 4u, 64u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "L1 " << l1.size_bytes << " order " << order
+                       << " snps " << snps << " shards " << shards);
+          const std::size_t bs = block_split_bs(l1, order, snps, shards);
+          const auto layers = [&](std::size_t b) { return (snps + b - 1) / b; };
+          EXPECT_GE(bs, 1u);
+          EXPECT_LE(bs, model);
+          EXPECT_TRUE(bs == 1 || layers(bs) >= kMinLayersPerShard * shards);
+          if (snps == 100000) {
+            EXPECT_EQ(bs, model);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Tiling, ScanTilingPicksEachRungsModel) {
+  // A panel wide enough that the per-thread cap never binds.
+  const auto scan = [](const L1Config& l1, unsigned order, CpuVersion v,
+                       KernelIsa isa) {
+    return scan_tiling(l1, order, v, isa, 100000, {}, 4);
+  };
+  for (const L1Config& l1 : kTestL1s) {
+    for (unsigned order = 2; order <= 6; ++order) {
+      SCOPED_TRACE(::testing::Message() << "L1 " << l1.size_bytes
+                                        << " order " << order);
+      for (const KernelIsa isa : all_kernel_isas()) {
+        const std::size_t vec = kernel_vector_words(isa);
+        const std::size_t scalar = kernel_vector_words(KernelIsa::kScalar);
+        const auto same = [](const TilingParams& a, const TilingParams& b) {
+          return a.bs == b.bs && a.bp_words == b.bp_words;
+        };
+        // V1/V2 never walk blocks and V3 runs the scalar kernels.
+        for (const CpuVersion v : {CpuVersion::kV1Naive, CpuVersion::kV2Split,
+                                   CpuVersion::kV3Blocked}) {
+          EXPECT_TRUE(same(scan(l1, order, v, isa),
+                           autotune_tiling(l1, scalar, order)));
+        }
+        EXPECT_TRUE(same(scan(l1, order, CpuVersion::kV4Vector, isa),
+                         autotune_tiling(l1, vec, order)));
+        // At order 2 the ladder walk is the direct walk, and so is its
+        // tile.
+        EXPECT_TRUE(same(
+            scan(l1, order, CpuVersion::kV5PairCache, isa),
+            order == 2 ? autotune_tiling(l1, vec, order)
+                       : ladder_tiling(l1, vec, order)));
+      }
     }
   }
 }
@@ -1316,8 +1475,8 @@ TEST(Detector, ExplicitIsaAndTilingPinLandInResultAndAreBitIdentical) {
   // Fully auto: the widest ISA and the analytic L1 model.
   EXPECT_EQ(base.isa_used, best_kernel_isa());
   EXPECT_EQ(base.tiling_used.bs,
-            autotune_tiling(detect_l1_config(),
-                            kernel_vector_words(base.isa_used), 3, true)
+            scan_tiling(detect_l1_config(), 3, CpuVersion::kV5PairCache,
+                        base.isa_used, d.num_snps(), {}, 1)
                 .bs);
 
   // A deliberately non-analytic pin of both ISA and tiling.

@@ -239,6 +239,61 @@ TEST(Order4Isa, RandomRankSplitsReproduceTheFullTopKOnEveryIsa) {
 }
 
 // --------------------------------------------------------------------------
+// V5's prefix-outer ladder walk, orders 3..6
+// --------------------------------------------------------------------------
+
+/// V5 over every B_S shape the prefix loop distinguishes (one SNP per
+/// block, two, a block straddling the panel's end, one block holding the
+/// whole panel), clipped rank ranges and 1 or 3 threads: every combination
+/// in the range (top-k = the range) scores bit-identically to the
+/// per-sample reference.
+template <unsigned K>
+void expect_v5_matches_reference(const GenotypeMatrix& d) {
+  const BasicDetector<K> det(d);
+  const std::uint64_t total = n_choose_k(d.num_snps(), K);
+  const auto all = brute_force_all<K>(d, Objective::kK2);
+  for (const combinatorics::RankRange range :
+       {combinatorics::RankRange{0, total},
+        combinatorics::RankRange{1, total - 1},
+        combinatorics::RankRange{total / 3, 2 * total / 3},
+        combinatorics::RankRange{5, 6}}) {
+    std::vector<core::ScoredOf<K>> want;
+    for (const auto& s : all) {
+      const std::uint64_t r =
+          combinatorics::rank_combination<K>(core::snps_of<K>(s));
+      if (r >= range.first && r < range.last) want.push_back(s);
+    }
+    std::sort(want.begin(), want.end());
+    for (const std::size_t bs :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}, d.num_snps() + 3}) {
+      for (const unsigned threads : {1u, 3u}) {
+        BasicDetectorOptions<K> opt;
+        opt.version = CpuVersion::kV5PairCache;
+        opt.tiling = {bs, 8};  // several chunks per class
+        opt.threads = threads;
+        opt.range = range;
+        opt.top_k = range.size();
+        const auto r = det.run(opt);
+        EXPECT_EQ(r.combinations_evaluated, range.size());
+        expect_same_best<K>(r.best, want,
+                            "order " + std::to_string(K) + " bs " +
+                                std::to_string(bs) + " threads " +
+                                std::to_string(threads) + " range " +
+                                std::to_string(range.first) + ":" +
+                                std::to_string(range.last));
+      }
+    }
+  }
+}
+
+TEST(V5Ladder, EveryOrderBsClipAndThreadCountMatchesTheReference) {
+  expect_v5_matches_reference<3>(random_dataset({11, 300, 41}));
+  expect_v5_matches_reference<4>(random_dataset({10, 300, 43}));
+  expect_v5_matches_reference<5>(random_dataset({9, 300, 47}));
+  expect_v5_matches_reference<6>(random_dataset({9, 300, 53}));
+}
+
+// --------------------------------------------------------------------------
 // Option validation at K = 4
 // --------------------------------------------------------------------------
 

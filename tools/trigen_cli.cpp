@@ -113,6 +113,13 @@ std::uint64_t get_uint_or_die(const Args& a, const std::string& key,
   return parse_or_die([&] { return a.get_uint(key, fallback); });
 }
 
+/// --KEY as a finite real number; junk (`--effect abc`, `0.5x`, `nan`) is
+/// a usage error (exit 2) naming the flag, not a silent 0.
+double get_double_or_die(const Args& a, const std::string& key,
+                         double fallback) {
+  return parse_or_die([&] { return a.get_double(key, fallback); });
+}
+
 /// --KEY for a 32-bit count (threads, permutations, batch, shards,
 /// failures): a value of 2^32 or more is a usage error naming the flag, not
 /// a silent wrap modulo 2^32.
@@ -187,11 +194,12 @@ std::string compiled_isas() {
 /// (and whether this host can run them), instead of failing deep inside
 /// the detector.
 core::CpuVersion get_version_or_die(const Args& a) {
-  const std::uint64_t v = get_uint_or_die(a, "version", 4);
+  const std::uint64_t v = get_uint_or_die(
+      a, "version", core::cpu_version_number(core::kDefaultCpuVersion));
   if (const auto version = core::cpu_version_from_number(v)) return *version;
   std::fprintf(stderr,
                "--version expects 1..5: 1 naive planes, 2 split planes, "
-               "3 + L1 blocking, 4 + vector kernels, 5 + pair-plane cache "
+               "3 + L1 blocking, 4 + vector kernels, 5 + prefix-plane ladder "
                "(got %llu)\nvector ISAs in this binary: %s\n",
                static_cast<unsigned long long>(v), compiled_isas().c_str());
   std::exit(2);
@@ -237,10 +245,12 @@ int cmd_generate(const Args& a) {
   dataset::SyntheticSpec spec;
   spec.num_snps = get_uint_or_die(a, "snps", 100);
   spec.num_samples = get_uint_or_die(a, "samples", 1000);
-  spec.seed = static_cast<std::uint64_t>(a.get_int("seed", 42));
-  spec.maf_min = a.get_double("maf-min", 0.05);
-  spec.maf_max = a.get_double("maf-max", 0.5);
-  spec.prevalence = a.get_double("prevalence", 0.5);
+  spec.seed = get_uint_or_die(a, "seed", 42);
+  spec.maf_min = get_double_or_die(a, "maf-min", 0.05);
+  spec.maf_max = get_double_or_die(a, "maf-max", 0.5);
+  spec.prevalence = get_double_or_die(a, "prevalence", 0.5);
+  const double baseline = get_double_or_die(a, "baseline", 0.05);
+  const double effect = get_double_or_die(a, "effect", 0.8);
   if (a.has("plant")) {
     dataset::PlantedInteraction planted;
     unsigned x = 0, y = 0, z = 0;
@@ -254,8 +264,7 @@ int cmd_generate(const Args& a) {
                       : model == "mult"
                           ? dataset::InteractionModel::kMultiplicative
                           : dataset::InteractionModel::kThreshold;
-    planted.penetrance = dataset::make_penetrance(
-        kind, a.get_double("baseline", 0.05), a.get_double("effect", 0.8));
+    planted.penetrance = dataset::make_penetrance(kind, baseline, effect);
     spec.interaction = planted;
   }
   const auto d = dataset::generate(spec);
@@ -378,11 +387,16 @@ void print_scan_usage() {
       "[2, %u] (--order 3 is the default `scan`; `scan2` = --order 2);\n"
       "--version picks the optimization-ladder rung (1 naive planes,\n"
       "2 split planes, 3 + L1 blocking, 4 + vector kernels, 5 + prefix-\n"
-      "plane cache; default 4);\n"
+      "plane ladder; default 5).  V3/V4 tile by the paper's L1 model;\n"
+      "V5 walks one prefix at a time, sizing B_P so the ladder and one\n"
+      "SNP's chunk fit the L1 block ways and B_S for final-axis reuse,\n"
+      "capped to keep 4 block tuples per thread;\n"
       "--range scans only %s ranks [FIRST, LAST) — any version,\n"
       "including the blocked V3/V4/V5 (shard results merge exactly);\n"
       "--progress reports percent scanned on stderr.\n"
-      "--shards/--shard scans shard I (0-based) of a W-way plan;\n"
+      "--shards/--shard scans shard I (0-based) of a W-way plan\n"
+      "(--split block cuts at block layers of the V5 tile's B_S, lowered\n"
+      "to keep 4 layers per shard, whatever --threads/--version say);\n"
       "--out writes a portable shard result file for `trigen merge`;\n"
       "--checkpoint persists progress after every chunk and resumes\n"
       "from it when the file already exists; --stop-after stops\n"
@@ -410,40 +424,48 @@ int cmd_scan_generic(const Args& a) {
     opt.isa = *isa;
     opt.isa_auto = false;
   }
-  const auto d = load(a.positional[0]);
-  typename Cli::Detector det(d);
-  const std::uint64_t total = Cli::space(d.num_snps());
-
-  if (a.has("shards") || a.has("shard")) {
+  // Shard flags too; only the plan needs the dataset.
+  const bool sharded = a.has("shards") || a.has("shard");
+  std::uint32_t shards = 0;
+  std::uint64_t shard_index = 0;
+  bool block_split = false;
+  if (sharded) {
     if (a.has("range")) {
       std::fprintf(stderr, "--range and --shards are mutually exclusive\n");
       return 2;
     }
-    const std::uint32_t w = get_u32_or_die(a, "shards", 0);
-    const std::uint64_t i =
-        a.has("shard") ? get_uint_or_die(a, "shard", 0)
-                       : std::numeric_limits<std::uint64_t>::max();
-    if (w < 1 || i >= w) {
+    shards = get_u32_or_die(a, "shards", 0);
+    shard_index = a.has("shard") ? get_uint_or_die(a, "shard", 0)
+                                 : std::numeric_limits<std::uint64_t>::max();
+    if (shards < 1 || shard_index >= shards) {
       std::fprintf(stderr,
                    "--shards W --shard I needs W >= 1 and 0 <= I < W\n");
       return 2;
     }
     const std::string split = a.get("split", "even");
-    shard::SplitStrategy strategy = shard::SplitStrategy::kEvenRanks;
-    std::uint64_t bs = 0;
-    if (split == "block") {
-      strategy = shard::SplitStrategy::kBlockAligned;
-      bs = core::autotune_tiling(core::detect_l1_config(),
-                                 core::kernel_vector_words(
-                                     core::best_kernel_isa()))
-               .bs;
-    } else if (split != "even") {
+    if (split != "even" && split != "block") {
       std::fprintf(stderr, "--split expects even|block\n");
       return 2;
     }
-    const auto plan =
-        shard::plan_shards(d.num_snps(), w, strategy, bs, Cli::kOrder);
-    opt.range = plan[static_cast<std::size_t>(i)];
+    block_split = split == "block";
+  }
+  const auto d = load(a.positional[0]);
+  typename Cli::Detector det(d);
+  const std::uint64_t total = Cli::space(d.num_snps());
+
+  if (sharded) {
+    // Every shard of one plan must cut at the same ranks, so a block
+    // split reads neither --threads, --version nor --isa.
+    const std::uint64_t bs =
+        block_split ? core::block_split_bs(core::detect_l1_config(),
+                                           Cli::kOrder, d.num_snps(), shards)
+                    : 0;
+    const auto plan = shard::plan_shards(
+        d.num_snps(), shards,
+        block_split ? shard::SplitStrategy::kBlockAligned
+                    : shard::SplitStrategy::kEvenRanks,
+        bs, Cli::kOrder);
+    opt.range = plan[static_cast<std::size_t>(shard_index)];
   } else if (a.has("range")) {
     const auto range = combinatorics::parse_rank_range(a.get("range", ""));
     if (!range || range->first >= range->last || range->last > total) {
@@ -667,7 +689,7 @@ int cmd_significance(const Args& a) {
     return a.has("help") ? 0 : 2;
   }
   const auto permutations = get_u32_or_die(a, "permutations", 19);
-  const auto seed = static_cast<std::uint64_t>(a.get_int("seed", 7));
+  const auto seed = get_uint_or_die(a, "seed", 7);
   const auto objective = get_objective_or_die(a);
   const auto threads = get_u32_or_die(a, "threads", 0);
   const auto batch = get_u32_or_die(a, "batch", 0);
@@ -745,6 +767,8 @@ int cmd_coordinate(const Args& a) {
         "bit-identical to a single-process `trigen scan`.  The lease table\n"
         "persists atomically in --spool/fleet.state: rerunning the same\n"
         "command over the same spool resumes without double-counting.\n"
+        "--split block cuts shards at block layers of the V5 tile's B_S,\n"
+        "lowered to keep 4 layers per shard; --block-size B overrides it.\n"
         "Exits 0 complete, 3 interrupted/stalled (resumable).");
     return a.has("help") ? 0 : 2;
   }
@@ -753,14 +777,14 @@ int cmd_coordinate(const Args& a) {
   co.objective = get_objective_or_die(a);
   co.top_k = get_uint_or_die(a, "top", 10);
   co.shards = get_u32_or_die(a, "shards", 16);
-  if (a.get("split", "even") == "block") {
+  const std::string split = a.get("split", "even");
+  if (split != "even" && split != "block") {
+    std::fprintf(stderr, "--split expects even|block\n");
+    return 2;
+  }
+  if (split == "block") {
     co.split = shard::SplitStrategy::kBlockAligned;
-    co.block_size = get_uint_or_die(
-        a, "block-size",
-        core::autotune_tiling(core::detect_l1_config(),
-                              core::kernel_vector_words(
-                                  core::best_kernel_isa()))
-            .bs);
+    co.block_size = get_uint_or_die(a, "block-size", 0);  // 0: auto, below
   }
   co.spool = a.get("spool", ".");
   co.out = a.get("out", "");
@@ -776,7 +800,12 @@ int cmd_coordinate(const Args& a) {
   co.log = [](const std::string& line) {
     std::fprintf(stderr, "coordinate: %s\n", line.c_str());
   };
-  fleet::FleetCoordinator coordinator(load(a.positional[0]), co);
+  const auto d = load(a.positional[0]);
+  if (co.split == shard::SplitStrategy::kBlockAligned && co.block_size == 0) {
+    co.block_size = core::block_split_bs(core::detect_l1_config(), co.order,
+                                         d.num_snps(), co.shards);
+  }
+  fleet::FleetCoordinator coordinator(d, co);
   install_interrupt_handler();
   if (a.has("socket")) {
     return serve::run_socket_endpoint(coordinator, a.get("socket", ""),
