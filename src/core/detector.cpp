@@ -1,5 +1,6 @@
 #include "trigen/core/detector.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <iterator>
 #include <stdexcept>
@@ -428,13 +429,18 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
   result.combinations_evaluated = plan.range.size();
   result.elements = plan.range.size() * impl_->num_samples * slots;
 
-  // Always the ladder walk (the whole point is amortizing it), with the
-  // batch-aware L1 budget: the per-tuple tables grow to 1 + P slots and the
-  // resident label rows join the streamed block.
+  // Always the V5 ladder walk (the whole point is amortizing it), on V5's
+  // tile, with the B_S groups of one prefix live; each holds 1 + P tables,
+  // so B_S is capped by kBatchTableBytes (the pair walk keeps one group).
   TilingParams tiling = options.tiling;
   if (!tiling.valid()) {
-    tiling = autotune_tiling(detect_l1_config(), kernel_vector_words(plan.isa),
-                             K, true, slots, batch.stride());
+    tiling = scan_tiling(detect_l1_config(), K, CpuVersion::kV5PairCache,
+                         plan.isa, impl_->num_snps, plan.range, cfg.threads);
+    if (K >= 3) {
+      const std::size_t group_bytes = (1 + slots) * pow3(K) * 4;
+      tiling.bs = std::clamp<std::size_t>(kBatchTableBytes / group_bytes, 1,
+                                          tiling.bs);
+    }
   }
   result.tiling_used = tiling;
   const combinatorics::BlockPartition part =
@@ -442,7 +448,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
           combinatorics::BlockGrid{impl_->num_snps, tiling.bs}, plan.range);
 
   // Lazily constructed by the owning worker (NUMA first touch, as in run()).
-  std::vector<std::unique_ptr<BatchTupleScratch<K>>> scratch(cfg.threads);
+  std::vector<std::unique_ptr<TupleBlockScratch<K>>> scratch(cfg.threads);
 
   Stopwatch sw;
   // One TopK per partition per thread; the per-partition merge keeps each
@@ -456,8 +462,7 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
           std::vector<BasicTopK<Scored>>& acc) -> std::uint64_t {
         auto& sc = scratch[tid];
         if (!sc) {
-          sc = std::make_unique<BatchTupleScratch<K>>(tiling.bs, slots,
-                                                      batch.stride());
+          sc = std::make_unique<TupleBlockScratch<K>>(tiling.bs, 1 + slots);
         }
         std::uint64_t emitted = 0;
         const auto on_table =
@@ -467,16 +472,10 @@ BasicBatchDetectionResult<K> BasicDetector<K>::run_batched(
               acc[p].push(make_scored<K>(c, scorer(t)));
             };
         for (std::uint64_t b = r.first; b < r.last; ++b) {
-          const BlockTuple<K> bt =
-              unrank_block_tuple<K>(part.block_ranks.first + b);
-          if constexpr (K == 2) {
-            scan_block_pair_batched(impl_->combined, batch, tiling, kernels,
-                                    *sc, bt, plan.clip, on_table);
-          } else {
-            scan_block_tuple_batched<K>(impl_->combined, batch, tiling,
-                                        kernels, *sc, bt, plan.clip,
-                                        on_table);
-          }
+          scan_block_tuple_batched<K>(
+              impl_->combined, batch, tiling, kernels, *sc,
+              unrank_block_tuple<K>(part.block_ranks.first + b), plan.clip,
+              on_table);
         }
         return emitted;
       });

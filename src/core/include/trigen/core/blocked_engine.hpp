@@ -8,40 +8,40 @@
 /// loaded cache line is reused by up to B_S^{k-1} combinations before
 /// eviction.  The direct walk holds the frequency tables of all <= B_S^k
 /// contained SNP combinations in an L1-resident array; the ladder walk
-/// holds the B_S tables of one prefix.
+/// holds the B_S table groups of one prefix.
 ///
-/// Each rung kind is one walk, written once for every order: a clipped
-/// function template whose axis walk (`engine_detail::walk_axes`) recurses
-/// over a compile-time axis index, so order k compiles to a k-deep loop
-/// nest with the order's hand-tuned kernel at the leaf (`EngineKernels`):
+/// Each walk is written once for every order: a clipped function template
+/// whose axis walk (`engine_detail::walk_axes`) recurses over a
+/// compile-time axis index, so order k compiles to a k-deep loop nest with
+/// the order's hand-tuned kernel at the leaf (`EngineKernels`):
 ///
 ///  * `scan_block_tuple` (V3, V4): the direct leaf kernel evaluates each
 ///    combination from its k SNPs' genotype planes.  V3 is this walk with
 ///    the scalar kernels; selecting a vector kernel turns it into V4.
-///  * `scan_block_tuple_ladder` (V5): the walk builds a recursive
-///    *prefix-plane ladder* and runs prefix-outer: for each length-(k-1)
-///    prefix of the block tuple it streams the sample chunks once,
-///    materializing the 3^j intersection planes of each j-SNP prefix (rung
-///    j, j = 2..k-1) per chunk, and resolves all B_S final-axis SNPs from
-///    the last rung before moving on, so only the B_S tables of one prefix
-///    are live.  Rung 2 is built directly from two SNPs' genotype planes;
-///    rung j+1 extends rung j by ANDing each plane with one SNP's two
-///    stored planes and deriving the third child from the partition
+///  * `engine_detail::ladder_walk` (V5, k >= 3): one prefix-outer walk
+///    over a recursive *prefix-plane ladder*: for each length-(k-1) prefix
+///    of the block tuple it streams the sample chunks once, materializing
+///    the 3^j intersection planes of each j-SNP prefix (rung j, j =
+///    2..k-1) per chunk, and resolves all B_S final-axis SNPs from the
+///    last rung before moving on, so only the B_S table groups of one
+///    prefix are live.  Rung 2 is built directly from two SNPs' genotype
+///    planes; rung j+1 extends rung j by ANDing each plane with one SNP's
+///    two stored planes and deriving the third child from the partition
 ///    identity (the three genotype planes of a SNP partition every sample
-///    bit, padding included).  The last rung's planes and popcounts then
-///    resolve all three final-axis cells with two ANDs + two POPCNTs per
-///    word.  At k = 2 there is no rung and the ladder is the direct walk.
-///  * `scan_block_tuple_batched` (k >= 3) and `scan_block_pair_batched`
-///    (k = 2): the ladder walk over phenotype-agnostic planes, scoring
-///    every partition of a phenotype batch in one pass.
+///    bit, padding included).  The walk has two leaves, picked at compile
+///    time: the sequential leaf (`scan_block_tuple_ladder`) resolves the
+///    three final-axis cells of each class with two ANDs + two POPCNTs per
+///    word; the batched leaf (`scan_block_tuple_batched`) runs over
+///    phenotype-agnostic planes and scores every partition of a phenotype
+///    batch in one pass.  At k = 2 there is no rung: the sequential ladder
+///    is the direct walk, and the batched scan is
+///    `scan_block_pair_batched`.
 ///
 /// All walks share one prologue (`engine_detail::block_bounds`: the block
-/// tuple's axis bounds and its rank clip); the ladder walks share the
-/// prefix loop (`engine_detail::for_each_prefix`) and the ladder build
-/// (`EngineKernels::build_ladder`).  The block-tuple rank math and
-/// the rank-range -> block-tuple mapping live in
-/// trigen/combinatorics/block_partition.hpp; the names are re-exported here
-/// for the engine's callers.
+/// tuple's axis bounds and its rank clip) and one scratch
+/// (`TupleBlockScratch`).  The block-tuple rank math and the rank-range ->
+/// block-tuple mapping live in trigen/combinatorics/block_partition.hpp;
+/// the names are re-exported here for the engine's callers.
 
 #include <algorithm>
 #include <array>
@@ -226,50 +226,68 @@ struct EngineKernels {
   }
 };
 
-/// Per-thread scratch of the sequential walks, built for the walks'
-/// `tiling.bs`: frequency tables, layout [local][class][3^K] uint32, sized
-/// by the walk that uses it.  The direct walk holds the tables of every
-/// combination of a block tuple (B_S^K, local = sum (i_j - base_j) *
-/// B_S^{K-1-j}); the ladder walk holds the B_S tables of one prefix (local
-/// = z - first z) plus its prefix-plane ladder.  Storage is allocated on
-/// first use by the scanning thread.
+/// Per-thread scratch of the blocked walks, built for the walks'
+/// `tiling.bs`: frequency-table groups, layout [local][slot][3^K] uint32.
+/// A sequential scan's group has 2 slots (class 0, class 1); a batched
+/// scan's has 1 + P (slot 0 the totals, slot 1+p the case table of
+/// partition p).  The walk sets how many groups are live: the direct walk
+/// holds every combination of a block tuple (B_S^K, local = sum (i_j -
+/// base_j) * B_S^{K-1-j}); the ladder walk holds the B_S groups of one
+/// prefix (local = z - first z) plus its prefix-plane ladder; the batched
+/// pair walk holds one.  Batched scans also keep the chunk's label
+/// popcounts.  Storage is allocated on first use by the scanning thread.
 template <unsigned K>
 class TupleBlockScratch {
  public:
   static constexpr std::size_t kCells = scoring::num_cells(K);
 
-  explicit TupleBlockScratch(std::size_t bs) : bs_(bs) {}
+  explicit TupleBlockScratch(std::size_t bs, std::size_t slots = 2)
+      : bs_(bs), group_cells_(slots * kCells) {}
 
-  /// Grows the table array (never shrinks) to the B_S^axes tables of
-  /// `axes` free axes: K for the direct walk, 1 for the ladder walk.
-  void ensure_tables(unsigned axes) {
+  /// Grows the table array (never shrinks) to the B_S^axes groups of
+  /// `axes` free axes: K for the direct walk, 1 for the ladder walk, 0 for
+  /// the batched pair walk.
+  void ensure_groups(unsigned axes) {
     std::size_t count = 1;
     for (unsigned i = 0; i < axes; ++i) count *= bs_;
-    if (ft_.size() < count * 2 * kCells) ft_.resize(count * 2 * kCells);
+    if (ft_.size() < count * group_cells_) ft_.resize(count * group_cells_);
   }
-  /// Tables the scratch currently holds.
-  std::size_t tables() const { return ft_.size() / (2 * kCells); }
+  /// Groups the scratch currently holds.
+  std::size_t groups() const { return ft_.size() / group_cells_; }
+  /// Tables per group.
+  std::size_t slots() const { return group_cells_ / kCells; }
 
+  std::uint32_t* group(std::size_t local) {
+    return ft_.data() + local * group_cells_;
+  }
   std::uint32_t* table(std::size_t local, int cls) {
-    return ft_.data() + (local * 2 + static_cast<std::size_t>(cls)) * kCells;
+    return group(local) + static_cast<std::size_t>(cls) * kCells;
   }
-  /// Zeroes both class tables of `local`: the direct walk clears exactly
-  /// the combinations a block tuple evaluates, so tail and diagonal blocks
+  /// Zeroes the group of `local`: the direct walk clears exactly the
+  /// combinations a block tuple evaluates, so tail and diagonal blocks
   /// skip the untouched bulk of the bs^K array.
-  void clear_table(std::size_t local) {
-    std::fill_n(ft_.begin() + static_cast<std::ptrdiff_t>(local * 2 * kCells),
-                2 * kCells, 0u);
+  void clear_group(std::size_t local) {
+    std::fill_n(ft_.begin() + static_cast<std::ptrdiff_t>(local * group_cells_),
+                group_cells_, 0u);
   }
-  /// Zeroes the tables of locals [0, count).
-  void clear_tables(std::size_t count) {
-    std::fill_n(ft_.begin(), count * 2 * kCells, 0u);
+  /// Zeroes the groups of locals [0, count).
+  void clear_groups(std::size_t count) {
+    std::fill_n(ft_.begin(), count * group_cells_, 0u);
   }
-  /// V5 prefix-plane ladder (unused and unallocated for V3/V4 scans).
+  /// Chunk popcounts |plane ∩ L_p| of a batched scan, `count` of them
+  /// (grows, never shrinks; sequential scans never allocate it).
+  std::uint32_t* label_pops(std::size_t count) {
+    if (label_pops_.size() < count) label_pops_.resize(count);
+    return label_pops_.data();
+  }
+  /// The prefix-plane ladder (unused and unallocated for V3/V4 scans).
   PrefixPlaneCache& prefix_cache() { return cache_; }
 
  private:
   std::size_t bs_;
+  std::size_t group_cells_;
   std::vector<std::uint32_t> ft_;
+  std::vector<std::uint32_t> label_pops_;
   PrefixPlaneCache cache_;
 };
 
@@ -365,7 +383,7 @@ void walk_axes(const BlockBounds<K>& b, std::size_t prev, std::size_t local,
   }
 }
 
-/// The prefix loop of the ladder walks: for every length-(K-1) prefix of
+/// The prefix loop of the ladder walk: for every length-(K-1) prefix of
 /// block tuple `b` (axes 0..K-2 in Algorithm 1 order) that admits a final
 /// SNP, calls `on_prefix(comb, z_first, z_end)` with comb[0..K-2] set and
 /// the prefix's final-axis SNPs [z_first, z_end).
@@ -399,22 +417,160 @@ std::pair<std::size_t, std::size_t> final_axis_in_clip(
   return {z_first, z_end};
 }
 
-/// Emits the sequential tables of combination `comb` held at `local` in
-/// `scratch`, folding the NOR padding out of the all-genotype-2 cell.
+/// Emits the sequential tables of combination `comb` held in `group` (one
+/// table per class), folding the NOR padding out of the all-genotype-2
+/// cell.
 template <unsigned K, typename OnTable>
 void emit_sequential(const dataset::PhenoSplitPlanes& planes,
-                     TupleBlockScratch<K>& scratch, std::size_t local,
+                     const std::uint32_t* group,
                      const combinatorics::Combination<K>& comb,
                      OnTable& on_table) {
   scoring::BasicContingencyTable<K> t;
   for (int c = 0; c < 2; ++c) {
-    const std::uint32_t* ft = scratch.table(local, c);
     auto& row = t.counts[static_cast<std::size_t>(c)];
-    std::copy_n(ft, row.size(), row.begin());
+    std::copy_n(group + static_cast<std::size_t>(c) * row.size(), row.size(),
+                row.begin());
     // NOR padding shows up as phantom all-genotype-2 observations.
     row.back() -= static_cast<std::uint32_t>(planes.pad_bits(c));
   }
   on_table(comb, std::as_const(t));
+}
+
+/// Emits the batched tables of one combination, partition index ascending:
+/// slot 0 of `group` holds the phenotype-independent totals, slot 1+p the
+/// exact case table of partition p (label planes are zero-padded).  The
+/// control table is totals − case; only it inherits the combined planes'
+/// `pad` phantom all-genotype-2 observations.
+template <unsigned K, typename OnTable>
+void emit_batched(const combinatorics::Combination<K>& comb,
+                  const std::uint32_t* group, std::size_t num_labels,
+                  std::size_t pad, OnTable& on_table) {
+  constexpr std::size_t kCells = scoring::num_cells(K);
+  for (std::size_t p = 0; p < num_labels; ++p) {
+    const std::uint32_t* case_ft = group + (1 + p) * kCells;
+    scoring::BasicContingencyTable<K> t;
+    for (std::size_t i = 0; i < kCells; ++i) {
+      t.counts[1][i] = case_ft[i];
+      t.counts[0][i] = group[i] - case_ft[i];
+    }
+    t.counts[0][kCells - 1] -= static_cast<std::uint32_t>(pad);
+    on_table(comb, p, std::as_const(t));
+  }
+}
+
+/// The sequential leaf of the ladder walk: a group holds one table per
+/// class, filled by the order's final rung.
+template <unsigned K>
+struct SequentialLeaf {
+  const dataset::PhenoSplitPlanes& planes;
+  const EngineKernels& kernels;
+
+  void on_chunk(const PrefixPlaneCache&, std::size_t, std::size_t) const {}
+
+  void resolve(const PrefixPlaneCache& cache, int c, std::size_t z,
+               std::size_t w0, std::size_t w1, std::uint32_t* group) const {
+    kernels.final_rung<K>(cache, planes.plane(c, z, 0), planes.plane(c, z, 1),
+                          w0, w1,
+                          group + static_cast<std::size_t>(c) *
+                                      scoring::num_cells(K));
+  }
+
+  template <typename OnTable>
+  void emit(const combinatorics::Combination<K>& comb,
+            const std::uint32_t* group, OnTable& on_table) const {
+    emit_sequential<K>(planes, group, comb, on_table);
+  }
+};
+
+/// The batched leaf of the ladder walk over the phenotype-agnostic
+/// combined planes (`PhenoSplitPlanes::build_combined`, whose class 1 is
+/// empty): per chunk the batch kernel counts |last rung ∩ L_p| once, and
+/// each final-axis SNP then costs two broadcast-AND-popcount streams per
+/// partition into its (1 + P)-slot group.
+template <unsigned K>
+struct BatchedLeaf {
+  static constexpr std::size_t kPrefixPlanes = pow3(K - 1);
+
+  const dataset::PhenoSplitPlanes& planes;
+  const dataset::PhenotypeBatch& batch;
+  const EngineKernels& kernels;
+  /// kPrefixPlanes rows of batch.stride() lanes.
+  std::uint32_t* label_pops;
+
+  void on_chunk(const PrefixPlaneCache& cache, std::size_t w0,
+                std::size_t w1) const {
+    std::fill_n(label_pops, kPrefixPlanes * batch.stride(), 0u);
+    kernels.batch.label_pops(cache.rung(K - 1), kPrefixPlanes, cache.stride(),
+                             batch.word_labels(), batch.size(),
+                             batch.stride(), w0, w1, label_pops);
+  }
+
+  void resolve(const PrefixPlaneCache& cache, int c, std::size_t z,
+               std::size_t w0, std::size_t w1, std::uint32_t* group) const {
+    kernels.batch.finalize(cache.rung(K - 1), kPrefixPlanes, cache.stride(),
+                           cache.rung_pops(K - 1), label_pops,
+                           planes.plane(c, z, 0), planes.plane(c, z, 1),
+                           batch.word_labels(), batch.size(), batch.stride(),
+                           w0, w1, group, scoring::num_cells(K));
+  }
+
+  template <typename OnTable>
+  void emit(const combinatorics::Combination<K>& comb,
+            const std::uint32_t* group, OnTable& on_table) const {
+    emit_batched<K>(comb, group, batch.size(), planes.pad_bits(0), on_table);
+  }
+};
+
+/// The prefix-outer ladder walk (K >= 3) behind scan_block_tuple_ladder
+/// and scan_block_tuple_batched, which differ only in `leaf`.  For each
+/// length-(K-1) prefix of block tuple `bt` it zeroes the groups of the
+/// prefix's final-axis SNPs, streams every class in B_P-word chunks —
+/// building the ladder once per chunk, calling `leaf.on_chunk`, then
+/// `leaf.resolve` once per final-axis SNP — and emits each group through
+/// `leaf.emit`.  A block tuple that straddles `clip` resolves, per prefix,
+/// only the final-axis SNPs inside it.
+template <unsigned K, typename Leaf, typename OnTable>
+void ladder_walk(const dataset::PhenoSplitPlanes& planes,
+                 const TilingParams& tiling, const EngineKernels& kernels,
+                 TupleBlockScratch<K>& scratch, const BlockTuple<K>& bt,
+                 const combinatorics::RankRange& clip, const Leaf& leaf,
+                 OnTable& on_table) {
+  static_assert(K >= 3, "the ladder needs a length-2 prefix");
+  const auto bounds = block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
+  if (!bounds) return;
+  const BlockBounds<K>& b = *bounds;
+  // No chunk is wider than a class's planes: narrow panels keep a narrow
+  // ladder.
+  PrefixPlaneCache& cache = scratch.prefix_cache();
+  cache.ensure(K, std::min(tiling.bp_words,
+                           std::max(planes.words(0), planes.words(1))));
+  scratch.ensure_groups(1);
+
+  for_each_prefix<K>(b, [&](combinatorics::Combination<K>& comb,
+                            std::size_t z_first, std::size_t z_end) {
+    if (b.filter) {
+      std::tie(z_first, z_end) =
+          final_axis_in_clip<K>(comb, z_first, z_end, clip);
+      if (z_first == z_end) return;
+    }
+    scratch.clear_groups(z_end - z_first);
+    for (int c = 0; c < 2; ++c) {
+      const std::size_t words = planes.words(c);
+      for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
+        const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
+        kernels.build_ladder<K>(cache, planes, c, comb, w0, w1);
+        leaf.on_chunk(std::as_const(cache), w0, w1);
+        for (std::size_t z = z_first; z < z_end; ++z) {
+          leaf.resolve(std::as_const(cache), c, z, w0, w1,
+                       scratch.group(z - z_first));
+        }
+      }
+    }
+    for (std::size_t z = z_first; z < z_end; ++z) {
+      comb[K - 1] = static_cast<std::uint32_t>(z);
+      leaf.emit(std::as_const(comb), scratch.group(z - z_first), on_table);
+    }
+  });
 }
 
 }  // namespace engine_detail
@@ -445,10 +601,10 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
       engine_detail::block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
   if (!bounds) return;
   const engine_detail::BlockBounds<K>& b = *bounds;
-  scratch.ensure_tables(K);
+  scratch.ensure_groups(K);
 
   auto clear = [&](auto axis, std::size_t, std::size_t local) {
-    if constexpr (decltype(axis)::value + 1 == K) scratch.clear_table(local);
+    if constexpr (decltype(axis)::value + 1 == K) scratch.clear_group(local);
   };
   engine_detail::walk_axes<K>(b, 0, 0, clear);
 
@@ -478,8 +634,8 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
     comb[j] = static_cast<std::uint32_t>(i);
     if constexpr (j + 1 == K) {
       if (b.emits(comb, clip)) {
-        engine_detail::emit_sequential<K>(planes, scratch, local, comb,
-                                          on_table);
+        engine_detail::emit_sequential<K>(planes, scratch.group(local),
+                                          std::as_const(comb), on_table);
       }
     }
   };
@@ -487,15 +643,11 @@ void scan_block_tuple(const dataset::PhenoSplitPlanes& planes,
 }
 
 /// V5: the same combinations and tables as scan_block_tuple, walked
-/// prefix-outer through the prefix-plane ladder.  For each length-(K-1)
-/// prefix of the block tuple it zeroes the B_S tables of the prefix's
-/// final-axis SNPs, streams every class in B_P-word chunks — building the
-/// ladder once per chunk, then one final-rung call per final-axis SNP —
-/// and emits, so the scratch holds B_S tables (not B_S^K) and B_S is free
-/// to grow for final-axis reuse without growing memory.  The prefix
-/// streams leave the innermost loop entirely, and no genotype-2 plane of
-/// any prefix SNP is ever materialized.  A block tuple that straddles
-/// `clip` resolves, per prefix, only the final-axis SNPs inside it.  At
+/// prefix-outer through the prefix-plane ladder (engine_detail::ladder_walk
+/// with the sequential leaf), so the scratch holds the B_S groups of one
+/// prefix (not B_S^K) and B_S is free to grow for final-axis reuse without
+/// growing memory.  The prefix streams leave the innermost loop entirely,
+/// and no genotype-2 plane of any prefix SNP is ever materialized.  At
 /// K = 2 there is no rung and this is scan_block_tuple.  Bit-identical to
 /// the direct walk for every clip.
 template <unsigned K, typename OnTable>
@@ -510,45 +662,9 @@ void scan_block_tuple_ladder(const dataset::PhenoSplitPlanes& planes,
     scan_block_tuple<K>(planes, tiling, kernels, scratch, bt, clip,
                         static_cast<OnTable&&>(on_table));
   } else {
-    const auto bounds =
-        engine_detail::block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
-    if (!bounds) return;
-    const engine_detail::BlockBounds<K>& b = *bounds;
-    // No chunk is wider than a class's planes: narrow panels keep a
-    // narrow ladder.
-    PrefixPlaneCache& cache = scratch.prefix_cache();
-    cache.ensure(K, std::min(tiling.bp_words,
-                             std::max(planes.words(0), planes.words(1))));
-    scratch.ensure_tables(1);
-
-    engine_detail::for_each_prefix<K>(
-        b, [&](combinatorics::Combination<K>& comb, std::size_t z_first,
-               std::size_t z_end) {
-          if (b.filter) {
-            std::tie(z_first, z_end) =
-                engine_detail::final_axis_in_clip<K>(comb, z_first, z_end,
-                                                     clip);
-            if (z_first == z_end) return;
-          }
-          scratch.clear_tables(z_end - z_first);
-          for (int c = 0; c < 2; ++c) {
-            const std::size_t words = planes.words(c);
-            for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-              const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-              kernels.build_ladder<K>(cache, planes, c, comb, w0, w1);
-              for (std::size_t z = z_first; z < z_end; ++z) {
-                kernels.final_rung<K>(cache, planes.plane(c, z, 0),
-                                      planes.plane(c, z, 1), w0, w1,
-                                      scratch.table(z - z_first, c));
-              }
-            }
-          }
-          for (std::size_t z = z_first; z < z_end; ++z) {
-            comb[K - 1] = static_cast<std::uint32_t>(z);
-            engine_detail::emit_sequential<K>(planes, scratch, z - z_first,
-                                              std::as_const(comb), on_table);
-          }
-        });
+    engine_detail::ladder_walk<K>(
+        planes, tiling, kernels, scratch, bt, clip,
+        engine_detail::SequentialLeaf<K>{planes, kernels}, on_table);
   }
 }
 
@@ -556,158 +672,18 @@ void scan_block_tuple_ladder(const dataset::PhenoSplitPlanes& planes,
 // Batched multi-phenotype walks
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch of the batched walks: the prefix-plane ladder, the
-/// chunk |prefix ∩ label| popcounts, and the live (1 + P)-slot tables (slot
-/// 0 totals, slot 1+p the case table of partition p).  At order >= 3 the
-/// tables of all final-axis combinations of one prefix are live together
-/// (B_S of them); at order 2 one pair emits before the next starts.
-template <unsigned K>
-class BatchTupleScratch {
- public:
-  static constexpr std::size_t kCells = scoring::num_cells(K);
-  /// Planes the label-popcount kernel runs against: the materialized pair
-  /// planes at order 2, the last ladder rung otherwise.
-  static constexpr std::size_t kPrefixPlanes = K == 2 ? 9 : pow3(K - 1);
-
-  BatchTupleScratch(std::size_t bs, std::size_t slots, std::size_t lstride)
-      : slots_(slots),
-        tables_((K >= 3 ? bs : 1) * (1 + slots) * kCells),
-        label_pops_(kPrefixPlanes * lstride) {}
-
-  /// The (1 + P)-slot table group of final-axis combination `z_rel`.
-  std::uint32_t* tables(std::size_t z_rel) {
-    return tables_.data() + z_rel * (1 + slots_) * kCells;
-  }
-  /// Zeroes the table groups of final-axis combinations [0, z_count).
-  void clear_tables(std::size_t z_count) {
-    std::fill(tables_.begin(),
-              tables_.begin() + static_cast<std::ptrdiff_t>(
-                                    z_count * (1 + slots_) * kCells),
-              0u);
-  }
-  std::uint32_t* label_pops() { return label_pops_.data(); }
-  PrefixPlaneCache& prefix_cache() { return cache_; }
-
- private:
-  std::size_t slots_;
-  std::vector<std::uint32_t> tables_;
-  std::vector<std::uint32_t> label_pops_;
-  PrefixPlaneCache cache_;
-};
-
-namespace engine_detail {
-
-/// Emits the batched tables of one combination, partition index ascending:
-/// slot 0 of `group` holds the phenotype-independent totals, slot 1+p the
-/// exact case table of partition p (label planes are zero-padded).  The
-/// control table is totals − case; only it inherits the combined planes'
-/// `pad` phantom all-genotype-2 observations.
-template <unsigned K, typename OnTable>
-void emit_batched(const combinatorics::Combination<K>& comb,
-                  const std::uint32_t* group, std::size_t num_labels,
-                  std::size_t pad, OnTable& on_table) {
-  constexpr std::size_t kCells = scoring::num_cells(K);
-  for (std::size_t p = 0; p < num_labels; ++p) {
-    const std::uint32_t* case_ft = group + (1 + p) * kCells;
-    scoring::BasicContingencyTable<K> t;
-    for (std::size_t i = 0; i < kCells; ++i) {
-      t.counts[1][i] = case_ft[i];
-      t.counts[0][i] = group[i] - case_ft[i];
-    }
-    t.counts[0][kCells - 1] -= static_cast<std::uint32_t>(pad);
-    on_table(comb, p, std::as_const(t));
-  }
-}
-
-}  // namespace engine_detail
-
-/// Batched ladder walk at any order K >= 3: evaluates every combination of
-/// block tuple `bt` within `clip` against ALL partitions of `batch` in one
-/// pass, and calls `on_table(const Combination<K>&, std::size_t partition,
-/// const BasicContingencyTable<K>&)` for each (partition index ascending
-/// within a combination).
-///
-/// `planes` must be the phenotype-agnostic combined layout
-/// (`PhenoSplitPlanes::build_combined`): the ladder streams class 0 (all
-/// samples) exactly once per prefix and chunk, the batch kernel counts
-/// |prefix ∩ L_p| once per chunk, and each final-axis SNP then costs two
-/// broadcast-AND-popcount streams per partition — the plane streaming and
-/// ladder build are amortized across all P partitions.  Tables are exact
-/// integer counts, so every partition's result is bit-identical to a
-/// dedicated sequential scan of that partition.
-template <unsigned K, typename OnTable>
-void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
-                              const dataset::PhenotypeBatch& batch,
-                              const TilingParams& tiling,
-                              const EngineKernels& kernels,
-                              BatchTupleScratch<K>& scratch,
-                              const BlockTuple<K>& bt,
-                              const combinatorics::RankRange& clip,
-                              OnTable&& on_table) {
-  static_assert(K >= 3, "the batched ladder needs a length-2 prefix; "
-                        "use scan_block_pair_batched for K == 2");
-  constexpr std::size_t kCells = BatchTupleScratch<K>::kCells;
-  constexpr std::size_t count = pow3(K - 1);
-  const auto bounds =
-      engine_detail::block_bounds<K>(planes.num_snps(), tiling.bs, bt, clip);
-  if (!bounds) return;
-  const engine_detail::BlockBounds<K>& b = *bounds;
-
-  const std::size_t num_labels = batch.size();
-  const std::size_t lstride = batch.stride();
-  const Word* labels = batch.word_labels();
-  const std::size_t words = planes.words(0);
-  PrefixPlaneCache& cache = scratch.prefix_cache();
-  cache.ensure(K, tiling.bp_words);
-
-  // The final axis runs inside each prefix, with the chunk loop around
-  // it: the ladder and the per-chunk label popcounts are built once and
-  // reused by every final-axis SNP and every partition.
-  engine_detail::for_each_prefix<K>(
-      b, [&](combinatorics::Combination<K>& comb, std::size_t z_first,
-             std::size_t z_end) {
-        scratch.clear_tables(z_end - z_first);
-        for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
-          const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
-          kernels.build_ladder<K>(cache, planes, 0, comb, w0, w1);
-          const Word* last = cache.rung(K - 1);
-          std::fill(scratch.label_pops(),
-                    scratch.label_pops() + count * lstride, 0u);
-          kernels.batch.label_pops(last, count, cache.stride(), labels,
-                                   num_labels, lstride, w0, w1,
-                                   scratch.label_pops());
-          for (std::size_t z = z_first; z < z_end; ++z) {
-            kernels.batch.finalize(last, count, cache.stride(),
-                                   cache.rung_pops(K - 1),
-                                   scratch.label_pops(), planes.plane(0, z, 0),
-                                   planes.plane(0, z, 1), labels, num_labels,
-                                   lstride, w0, w1,
-                                   scratch.tables(z - z_first), kCells);
-          }
-        }
-        for (std::size_t z = z_first; z < z_end; ++z) {
-          comb[K - 1] = static_cast<std::uint32_t>(z);
-          if (!b.emits(comb, clip)) continue;
-          engine_detail::emit_batched<K>(std::as_const(comb),
-                                         scratch.tables(z - z_first),
-                                         num_labels, planes.pad_bits(0),
-                                         on_table);
-        }
-      });
-}
-
 /// Batched pair walk (K == 2): the nine x∩y planes of each pair are
 /// materialized once per chunk; their chunk popcounts are the totals and
 /// one label-popcount pass per chunk yields every partition's case cells
 /// directly — there is no final axis, so no finalize kernel is involved.
-/// Calls `on_table(const Combination<2>&, std::size_t partition, const
-/// PairContingencyTable&)`.
+/// `scratch` holds one group of 1 + P slots.  Calls `on_table(const
+/// Combination<2>&, std::size_t partition, const PairContingencyTable&)`.
 template <typename OnTable>
 void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
                              const dataset::PhenotypeBatch& batch,
                              const TilingParams& tiling,
                              const EngineKernels& kernels,
-                             BatchTupleScratch<2>& scratch,
+                             TupleBlockScratch<2>& scratch,
                              const BlockTuple<2>& bt,
                              const combinatorics::RankRange& clip,
                              OnTable&& on_table) {
@@ -718,10 +694,11 @@ void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
 
   const std::size_t num_labels = batch.size();
   const std::size_t lstride = batch.stride();
-  const Word* labels = batch.word_labels();
   const std::size_t words = planes.words(0);
   PrefixPlaneCache& cache = scratch.prefix_cache();
-  cache.ensure(3, tiling.bp_words);
+  cache.ensure(3, std::min(tiling.bp_words, words));
+  scratch.ensure_groups(0);
+  std::uint32_t* label_pops = scratch.label_pops(9 * lstride);
 
   combinatorics::Combination<2> comb{};
   auto visit = [&](auto axis, std::size_t i, std::size_t) {
@@ -729,23 +706,22 @@ void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
     comb[j] = static_cast<std::uint32_t>(i);
     if constexpr (j == 1) {
       if (!b.emits(comb, clip)) return;
-      scratch.clear_tables(1);
-      std::uint32_t* table = scratch.tables(0);
+      scratch.clear_groups(1);
+      std::uint32_t* table = scratch.group(0);
       for (std::size_t w0 = 0; w0 < words; w0 += tiling.bp_words) {
         const std::size_t w1 = std::min(w0 + tiling.bp_words, words);
         kernels.build_rung2(cache, planes.plane(0, comb[0], 0),
                             planes.plane(0, comb[0], 1),
                             planes.plane(0, comb[1], 0),
                             planes.plane(0, comb[1], 1), w0, w1);
-        std::fill(scratch.label_pops(), scratch.label_pops() + 9 * lstride,
-                  0u);
-        kernels.batch.label_pops(cache.rung(2), 9, cache.stride(), labels,
-                                 num_labels, lstride, w0, w1,
-                                 scratch.label_pops());
+        std::fill_n(label_pops, 9 * lstride, 0u);
+        kernels.batch.label_pops(cache.rung(2), 9, cache.stride(),
+                                 batch.word_labels(), num_labels, lstride, w0,
+                                 w1, label_pops);
         for (std::size_t t = 0; t < 9; ++t) {
           table[t] += cache.rung_pops(2)[t];
           for (std::size_t p = 0; p < num_labels; ++p) {
-            table[(1 + p) * 9 + t] += scratch.label_pops()[t * lstride + p];
+            table[(1 + p) * 9 + t] += label_pops[t * lstride + p];
           }
         }
       }
@@ -754,6 +730,42 @@ void scan_block_pair_batched(const dataset::PhenoSplitPlanes& planes,
     }
   };
   engine_detail::walk_axes<2>(b, 0, 0, visit);
+}
+
+/// Batched scan at any order: evaluates every combination of block tuple
+/// `bt` within `clip` against ALL partitions of `batch` in one pass, and
+/// calls `on_table(const Combination<K>&, std::size_t partition, const
+/// BasicContingencyTable<K>&)` for each (partition index ascending within
+/// a combination).  `scratch` must be built with 1 + batch.size() slots.
+///
+/// `planes` must be the phenotype-agnostic combined layout
+/// (`PhenoSplitPlanes::build_combined`).  At K >= 3 this is the V5 ladder
+/// walk with the batched leaf: the ladder streams the combined class once
+/// per prefix and chunk, and the plane streaming and ladder build are
+/// amortized across all P partitions.  At K = 2 it is
+/// scan_block_pair_batched.  Tables are exact integer counts, so every
+/// partition's result is bit-identical to a dedicated sequential scan of
+/// that partition.
+template <unsigned K, typename OnTable>
+void scan_block_tuple_batched(const dataset::PhenoSplitPlanes& planes,
+                              const dataset::PhenotypeBatch& batch,
+                              const TilingParams& tiling,
+                              const EngineKernels& kernels,
+                              TupleBlockScratch<K>& scratch,
+                              const BlockTuple<K>& bt,
+                              const combinatorics::RankRange& clip,
+                              OnTable&& on_table) {
+  if constexpr (K == 2) {
+    scan_block_pair_batched(planes, batch, tiling, kernels, scratch, bt, clip,
+                            static_cast<OnTable&&>(on_table));
+  } else {
+    using Leaf = engine_detail::BatchedLeaf<K>;
+    engine_detail::ladder_walk<K>(
+        planes, tiling, kernels, scratch, bt, clip,
+        Leaf{planes, batch, kernels,
+             scratch.label_pops(Leaf::kPrefixPlanes * batch.stride())},
+        on_table);
+  }
 }
 
 }  // namespace trigen::core

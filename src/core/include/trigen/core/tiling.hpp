@@ -50,18 +50,6 @@ struct L1Config {
 TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
                              unsigned order = 3);
 
-/// Batch-aware sizing for multi-phenotype scans: the frequency-table budget
-/// covers 1 + `batch_slots` tables per tuple (totals plus one case table per
-/// partition; the batched engines keep per-z tables live, so the per-tuple
-/// term is (1+P)*3^order*4 bytes), and the streamed-block budget adds the
-/// resident label planes — `label_stride` lanes (the PhenotypeBatch stride)
-/// per sample word; `cached` adds the prefix-plane ladder (order >= 3).
-/// `batch_slots == 0` degrades to the paper's model above.
-TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             unsigned order, bool cached,
-                             std::size_t batch_slots,
-                             std::size_t label_stride);
-
 /// The V5 model (order >= 3).  The prefix-outer ladder walk keeps only the
 /// B_S tables of one prefix live, so the table ways no longer bound B_S:
 ///
@@ -84,8 +72,15 @@ inline constexpr std::size_t kLadderMinBpWords = 128;
 /// Block tuples every thread should get at least: the per-scan cap on B_S.
 inline constexpr std::uint64_t kMinBlockTuplesPerThread = 4;
 
+/// Bytes of live table groups a batched ladder scan keeps per thread: its
+/// B_S groups hold 1 + P tables each, so at large P B_S is capped to fit.
+/// The groups are written once per chunk and stream from L2; they need no
+/// L1 residency.
+inline constexpr std::size_t kBatchTableBytes = 512 * 1024;
+
 /// The tile the blocked engine runs: the one entry point behind
-/// BasicDetector::run's auto-tiling and the heterogeneous coordinator.
+/// BasicDetector::run's and run_batched's auto-tiling (a batched scan is
+/// the V5 walk) and the heterogeneous coordinator.
 /// V1..V4 get the paper's model (V1/V2 never walk blocks; V3 runs the
 /// scalar kernels, so its B_P is sized for them), V5 gets ladder_tiling with
 /// B_S capped so the block tuples covering `range` — the ranks the scan

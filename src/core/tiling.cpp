@@ -118,55 +118,6 @@ std::size_t block_split_bs(const L1Config& l1, unsigned order,
   return std::clamp<std::size_t>(fit, 1, bs);
 }
 
-TilingParams autotune_tiling(const L1Config& l1, std::size_t vector_words,
-                             unsigned order, bool cached,
-                             std::size_t batch_slots,
-                             std::size_t label_stride) {
-  if (batch_slots == 0) return autotune_tiling(l1, vector_words, order);
-
-  const double way_bytes =
-      static_cast<double>(l1.size_bytes) / std::max(1u, l1.ways);
-  const double size_block = way_bytes * l1.ways_for_block;
-
-  // The batched engines hold 1 + P tables per live tuple (totals plus one
-  // case table per partition), but unlike the sequential engine those
-  // tables are only touched in a sequential writeback after each chunk's
-  // word loop — they stream, they do not need L1 residency.  B_S is sized
-  // for completion reuse (every extra z amortizes the per-chunk ladder and
-  // label popcounts) against an L2-scale table budget; at order == 2 one
-  // pair emits immediately and the plain sizing applies.
-  std::size_t bs;
-  const double cells = static_cast<double>(pow3(order));
-  if (order >= 3) {
-    constexpr double kBatchTableBudget = 512.0 * 1024.0;
-    const double per_z = (1.0 + static_cast<double>(batch_slots)) * cells * 4.0;
-    bs = static_cast<std::size_t>(kBatchTableBudget / per_z);
-    bs = std::min<std::size_t>(std::max<std::size_t>(4, bs), 64);
-  } else {
-    bs = autotune_tiling(l1, vector_words, order).bs;
-  }
-
-  // Streamed-block budget per word: one completion's two genotype planes
-  // (only one z is hot at a time), the prefix-plane ladder, and the label
-  // rows.  At real partition counts the label rows cannot be L1-resident
-  // for any usable chunk anyway — they stream linearly from L2 — so the
-  // chunk is floored at sixteen granules: tiny chunks only multiply the
-  // per-chunk ladder builds, label-pops passes and table writebacks.
-  const bool has_cache_planes = cached && order >= 3;
-  const double bytes_per_bp =
-      4.0 * 2 +
-      (has_cache_planes ? static_cast<double>(prefix_cache_bytes(1, order))
-                        : 0.0) +
-      4.0 * static_cast<double>(label_stride);
-  std::size_t bp = static_cast<std::size_t>(size_block / bytes_per_bp);
-  const std::size_t granule =
-      std::max(vector_words, dataset::kWordsPerVector);
-  bp = bp / granule * granule;
-  bp = std::max<std::size_t>(16 * granule, bp);
-
-  return TilingParams{bs, bp};
-}
-
 namespace {
 
 /// Parses e.g. "48K" from sysfs cache size files.

@@ -8,8 +8,8 @@
 /// over the full rank space and over arbitrary rank splits.  On top of
 /// that: the batch kernels against their scalar reference, degenerate
 /// (all-case / all-control / single-sample-class) partitions, the
-/// batched-vs-sequential permutation test, and the batch-aware tiling
-/// budget.
+/// batched-vs-sequential permutation test, and the V5 tile the batched
+/// scan runs.
 
 #include <gtest/gtest.h>
 
@@ -366,39 +366,60 @@ TEST(BatchedPermutation, ShuffleHelpersShareOneStream) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-aware tiling budget
+// Batched tiling
 // ---------------------------------------------------------------------------
 
-TEST(BatchTiling, BudgetsTablesAndLabelPlanes) {
-  const core::L1Config l1{48 * 1024, 12, 7, 4};
-  // Zero slots degrades to the paper's order-generic model.
-  const auto plain = core::autotune_tiling(l1, 16, 3);
-  const auto zero = core::autotune_tiling(l1, 16, 3, true, 0, 0);
-  EXPECT_EQ(zero.bs, plain.bs);
-  EXPECT_EQ(zero.bp_words, plain.bp_words);
-
-  std::size_t prev_bs = 65;
-  for (const std::size_t slots : {1ul, 16ul, 64ul, 512ul}) {
-    SCOPED_TRACE(slots);
-    const std::size_t lstride =
-        (slots + dataset::kWordsPerVector - 1) / dataset::kWordsPerVector *
-        dataset::kWordsPerVector;
-    const auto t = core::autotune_tiling(l1, 16, 3, true, slots, lstride);
-    EXPECT_TRUE(t.valid());
-    // Per-z tables stream (they are writeback-only), so bs is sized for
-    // completion reuse against an L2-scale budget, shrinking with P down
-    // to a floor of 4.
-    const std::size_t table_bytes = t.bs * (1 + slots) * 27 * 4;
-    EXPECT_TRUE(table_bytes <= 512 * 1024 || t.bs == 4);
-    EXPECT_LE(t.bs, 64u);
-    EXPECT_LE(t.bs, prev_bs);
-    prev_bs = t.bs;
-    // Chunks are granule-aligned and floored at sixteen granules: label
-    // rows stream from L2 at real P, so tiny chunks only multiply the
-    // per-chunk ladder, label-pops and writeback overheads.
-    EXPECT_EQ(t.bp_words % dataset::kWordsPerVector, 0u);
-    EXPECT_GE(t.bp_words, 16 * dataset::kWordsPerVector);
+/// run_batched's auto tile: V5's scan_tiling tile for the same range and
+/// threads, with B_S capped at order >= 3 so the B_S live groups of 1 + P
+/// tables fit kBatchTableBytes.
+template <unsigned K>
+void expect_scan_tile(const GenotypeMatrix& d, const PhenotypeBatch& batch,
+                      const std::vector<combinatorics::RankRange>& ranges) {
+  const BasicDetector<K> det(d);
+  const std::size_t cap = core::kBatchTableBytes /
+                          ((1 + batch.size()) * core::pow3(K) * 4);
+  for (const combinatorics::RankRange& range : ranges) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "order " << K << " partitions " << batch.size()
+                   << " range " << range.first << ":" << range.last
+                   << " threads " << threads);
+      BasicDetectorOptions<K> opt;
+      opt.range = range;
+      opt.threads = threads;
+      const auto r = det.run_batched(batch, opt);
+      core::TilingParams want = core::scan_tiling(
+          core::detect_l1_config(), K, core::CpuVersion::kV5PairCache,
+          r.isa_used, d.num_snps(), range, threads);
+      if (K >= 3) want.bs = std::clamp<std::size_t>(cap, 1, want.bs);
+      EXPECT_EQ(r.tiling_used.bs, want.bs);
+      EXPECT_EQ(r.tiling_used.bp_words, want.bp_words);
+    }
   }
+}
+
+TEST(BatchTiling, RunBatchedTakesTheV5ScanTile) {
+  // A batched scan is the V5 ladder walk with the batched leaf, so it runs
+  // V5's tile; only at large P does the table cap lower B_S.
+  const GenotypeMatrix d = random_dataset({80, 64, 71}, 0.4);
+  const PhenotypeBatch batch =
+      PhenotypeBatch::build(d.num_samples(), make_partitions(d, 5, 72));
+  const auto ranges = [&](unsigned k) {
+    const std::uint64_t total = combinatorics::n_choose_k(d.num_snps(), k);
+    return std::vector<combinatorics::RankRange>{
+        {}, {total / 2, total / 2 + 100}};
+  };
+  expect_scan_tile<2>(d, batch, ranges(2));
+  expect_scan_tile<3>(d, batch, ranges(3));
+  // 1000 partitions at k = 3: 16 groups of 1000 tables would hold 1.7 MiB.
+  const GenotypeMatrix small = random_dataset({20, 64, 73}, 0.4);
+  const PhenotypeBatch wide =
+      PhenotypeBatch::build(small.num_samples(),
+                            make_partitions(small, 1000, 74));
+  expect_scan_tile<3>(small, wide, {{}});
+  BasicDetectorOptions<3> opt;
+  opt.threads = 1;
+  EXPECT_EQ(BasicDetector<3>(small).run_batched(wide, opt).tiling_used.bs, 4u);
 }
 
 }  // namespace

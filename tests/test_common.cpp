@@ -13,7 +13,6 @@
 #include "trigen/common/aligned.hpp"
 #include "trigen/common/args.hpp"
 #include "trigen/common/cpuid.hpp"
-#include "trigen/common/log.hpp"
 #include "trigen/common/numa.hpp"
 #include "trigen/common/rng.hpp"
 #include "trigen/common/stopwatch.hpp"
@@ -251,27 +250,6 @@ TEST(Table, SiFormat) {
   EXPECT_EQ(si_format(1.0, 1), "1.0 ");
   EXPECT_EQ(si_format(1500.0, 1), "1.5 k");
   EXPECT_EQ(si_format(3.2e12, 1), "3.2 T");
-}
-
-// --------------------------------------------------------------------------
-// log
-// --------------------------------------------------------------------------
-
-TEST(Log, LevelFilterRoundTrip) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(before);
-}
-
-TEST(Log, EmitDoesNotCrash) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kDebug);
-  log_debug("debug ", 1);
-  log_info("info ", 2.5);
-  log_warn("warn");
-  log_error("error ", "concat", '!');
-  set_log_level(before);
 }
 
 // --------------------------------------------------------------------------

@@ -637,28 +637,54 @@ TEST_P(BlockedEngineTest, OutOfRangeBlockTupleIsEmpty) {
 }
 
 TEST(BlockedEngine, LadderScratchHoldsOnePrefixOfTables) {
-  // The prefix-outer ladder walk keeps only the B_S tables of one prefix
-  // live; the direct walk keeps all B_S^K of a block tuple.
+  // The prefix-outer ladder walk keeps only the B_S table groups of one
+  // prefix live — 2 tables each for the sequential leaf, 1 + P for the
+  // batched one — and the direct walk all B_S^K of a block tuple.  Neither
+  // leaf's ladder is wider than the widest class of its planes.
   const auto d = random_dataset({13, 70, 5});
+  const auto planes = dataset::PhenoSplitPlanes::build(d);
+  const auto combined = dataset::PhenoSplitPlanes::build_combined(d);
+  std::vector<std::vector<dataset::Phenotype>> parts(
+      3, std::vector<dataset::Phenotype>(d.num_samples()));
+  for (std::size_t j = 0; j < d.num_samples(); ++j) {
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      parts[p][j] = static_cast<dataset::Phenotype>((j + p) % 2);
+    }
+  }
+  const auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
+  const EngineKernels kernels = EngineKernels::of(KernelIsa::kScalar);
+  const auto rounded = [](std::size_t words) {
+    return (words + dataset::kWordsPerVector - 1) / dataset::kWordsPerVector *
+           dataset::kWordsPerVector;
+  };
   for (const unsigned order : {3u, 4u}) {
     with_order(order, [&]<unsigned K>() {
       for (const std::size_t bs : {std::size_t{2}, std::size_t{5}}) {
         SCOPED_TRACE(::testing::Message() << "order " << K << " bs " << bs);
-        const TilingParams tiling{bs, 16};
-        const auto planes = dataset::PhenoSplitPlanes::build(d);
+        const TilingParams tiling{bs, 256};  // wider than either layout
         TupleBlockScratch<K> ladder(bs);
         TupleBlockScratch<K> direct(bs);
+        TupleBlockScratch<K> batched(bs, 1 + batch.size());
         const std::uint64_t nb = (d.num_snps() + bs - 1) / bs;
         for (std::uint64_t r = 0; r < num_block_tuples<K>(nb); ++r) {
           scan_checked<K>(d, planes, Walk::kLadder, tiling, ladder,
                           unrank_block_tuple<K>(r), kFullRange);
           scan_checked<K>(d, planes, Walk::kDirect, tiling, direct,
                           unrank_block_tuple<K>(r), kFullRange);
+          scan_block_tuple_batched<K>(combined, batch, tiling, kernels,
+                                      batched, unrank_block_tuple<K>(r),
+                                      kFullRange, [](auto&&...) {});
         }
         std::size_t all = 1;
         for (unsigned j = 0; j < K; ++j) all *= bs;
-        EXPECT_EQ(ladder.tables(), bs);
-        EXPECT_EQ(direct.tables(), all);
+        EXPECT_EQ(ladder.groups(), bs);
+        EXPECT_EQ(ladder.slots(), 2u);
+        EXPECT_EQ(direct.groups(), all);
+        EXPECT_EQ(batched.groups(), bs);
+        EXPECT_EQ(batched.slots(), 1 + batch.size());
+        EXPECT_LE(ladder.prefix_cache().stride(),
+                  rounded(std::max(planes.words(0), planes.words(1))));
+        EXPECT_LE(batched.prefix_cache().stride(), rounded(combined.words(0)));
       }
     });
   }

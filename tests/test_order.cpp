@@ -246,12 +246,20 @@ TEST(Order4Isa, RandomRankSplitsReproduceTheFullTopKOnEveryIsa) {
 /// block, two, a block straddling the panel's end, one block holding the
 /// whole panel), clipped rank ranges and 1 or 3 threads: every combination
 /// in the range (top-k = the range) scores bit-identically to the
-/// per-sample reference.
+/// per-sample reference, through the sequential leaf (run) and the batched
+/// leaf (partition 0 of run_batched, the panel's own phenotype).
 template <unsigned K>
 void expect_v5_matches_reference(const GenotypeMatrix& d) {
   const BasicDetector<K> det(d);
   const std::uint64_t total = n_choose_k(d.num_snps(), K);
   const auto all = brute_force_all<K>(d, Objective::kK2);
+  std::vector<std::vector<dataset::Phenotype>> parts(
+      2, std::vector<dataset::Phenotype>(d.num_samples()));
+  for (std::size_t j = 0; j < d.num_samples(); ++j) {
+    parts[0][j] = d.phenotype(j);
+    parts[1][j] = static_cast<dataset::Phenotype>(j % 3 == 0);
+  }
+  const auto batch = dataset::PhenotypeBatch::build(d.num_samples(), parts);
   for (const combinatorics::RankRange range :
        {combinatorics::RankRange{0, total},
         combinatorics::RankRange{1, total - 1},
@@ -273,14 +281,16 @@ void expect_v5_matches_reference(const GenotypeMatrix& d) {
         opt.threads = threads;
         opt.range = range;
         opt.top_k = range.size();
+        const std::string what =
+            "order " + std::to_string(K) + " bs " + std::to_string(bs) +
+            " threads " + std::to_string(threads) + " range " +
+            std::to_string(range.first) + ":" + std::to_string(range.last);
         const auto r = det.run(opt);
         EXPECT_EQ(r.combinations_evaluated, range.size());
-        expect_same_best<K>(r.best, want,
-                            "order " + std::to_string(K) + " bs " +
-                                std::to_string(bs) + " threads " +
-                                std::to_string(threads) + " range " +
-                                std::to_string(range.first) + ":" +
-                                std::to_string(range.last));
+        expect_same_best<K>(r.best, want, what);
+        const auto rb = det.run_batched(batch, opt);
+        EXPECT_EQ(rb.combinations_evaluated, range.size());
+        expect_same_best<K>(rb.best[0], want, what + " batched");
       }
     }
   }
